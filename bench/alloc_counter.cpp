@@ -1,13 +1,6 @@
 // Global operator new/delete replacement that counts allocations. Linked
 // into the micro-benchmark binary only — production code never depends on
 // it.
-//
-// Thread-safe without contention: each thread claims a cache-line-padded
-// counter slot on first allocation and only ever writes its own slot, so
-// apply-pool workers never bounce a shared line while the timed loop runs.
-// Readers sum all slots; the before/after snapshots the benches take happen
-// while workers are quiescent (after a pool barrier), whose release/acquire
-// pairing also publishes the workers' relaxed slot updates.
 #include "alloc_counter.hpp"
 
 #include <atomic>
@@ -16,33 +9,15 @@
 
 namespace {
 
-constexpr std::size_t kSlots = 256;
-
-struct alignas(64) Slot {
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> bytes{0};
-};
-
-Slot g_slots[kSlots];
-std::atomic<std::size_t> g_next_slot{0};
-
-Slot& my_slot() {
-  // Claiming a slot must not itself allocate (we are inside operator new).
-  // Threads past kSlots share slot 0 — counts stay correct, they just
-  // contend; 256 is far beyond any pool size the benches spawn.
-  thread_local Slot* slot = [] {
-    const std::size_t i = g_next_slot.fetch_add(1, std::memory_order_relaxed);
-    return &g_slots[i < kSlots ? i : 0];
-  }();
-  return *slot;
-}
+// Relaxed atomics: google-benchmark's own threads may allocate too.
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
-  Slot& s = my_slot();
-  s.allocs.fetch_add(1, std::memory_order_relaxed);
-  s.bytes.fetch_add(size, std::memory_order_relaxed);
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   return p;
 }
 
@@ -51,19 +26,11 @@ void* counted_alloc(std::size_t size) {
 namespace colony::benchalloc {
 
 std::uint64_t allocation_count() {
-  std::uint64_t total = 0;
-  for (const Slot& s : g_slots) {
-    total += s.allocs.load(std::memory_order_relaxed);
-  }
-  return total;
+  return g_allocs.load(std::memory_order_relaxed);
 }
 
 std::uint64_t allocated_bytes() {
-  std::uint64_t total = 0;
-  for (const Slot& s : g_slots) {
-    total += s.bytes.load(std::memory_order_relaxed);
-  }
-  return total;
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace colony::benchalloc

@@ -1,9 +1,7 @@
 // Allocation counting for micro-benchmarks: the bench binary replaces the
 // global operator new/delete (alloc_counter.cpp) and benches read the
 // counters around their measurement loop to report allocations per
-// operation next to ns/op in BENCH_micro.json. Counting is per-thread
-// (padded slots summed at read), so apply-pool workers are counted without
-// adding a contended cache line to the timed region.
+// operation next to ns/op in BENCH_micro.json.
 #pragma once
 
 #include <cstddef>

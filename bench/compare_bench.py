@@ -2,30 +2,18 @@
 """Compare two google-benchmark JSON files for wall-clock regressions.
 
 Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 1.25]
-                        [--warn-only] [--min-scaling X] [--force-scaling]
+                        [--warn-only]
 
 Every benchmark present in both files is compared on real_time (normalised
 to nanoseconds). Entries slower than threshold x baseline are regressions:
 listed loudly, and the script exits 1 unless --warn-only. Benchmarks only
 present on one side are reported informationally and never fail the gate.
-
-Benchmarks whose names carry a `workers:N` argument (the apply-pool
-variants) are additionally grouped into per-worker-count series and printed
-as a scaling table — speedup of each worker count against the inline
-(`workers:0`, falling back to `workers:1`) row of the same series. With
---min-scaling X the best multi-worker speedup of each series must reach X;
-that gate only arms on hosts with >= 4 CPUs (a single-core container can
-only measure handoff overhead, never speedup) unless --force-scaling.
 """
 import argparse
 import json
-import os
-import re
 import sys
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-WORKERS_RE = re.compile(r"^(.*?)/workers:(\d+)(.*)$")
 
 
 def load(path):
@@ -48,70 +36,12 @@ def fmt_ns(ns):
     return f"{ns:.0f} ns"
 
 
-def worker_series(results):
-    """Group `name/workers:N[/...]` entries: series key -> {N: ns}."""
-    series = {}
-    for name, ns in results.items():
-        m = WORKERS_RE.match(name)
-        if m:
-            series.setdefault(m.group(1) + m.group(3), {})[int(m.group(2))] = ns
-    return series
-
-
-def report_scaling(cur, min_scaling, force):
-    series = worker_series(cur)
-    if not series:
-        if min_scaling:
-            print("== no workers:N series in current run; scaling gate idle")
-        return 0
-
-    cores = os.cpu_count() or 1
-    gate_armed = min_scaling and (cores >= 4 or force)
-    print("\n== apply-pool scaling (speedup vs inline of the same series, "
-          f"host cores: {cores})")
-    failures = []
-    for key in sorted(series):
-        rows = series[key]
-        base = rows.get(0, rows.get(1))
-        if base is None:
-            print(f"  {key}: no workers:0/1 baseline row; skipped")
-            continue
-        cells = []
-        best = 0.0
-        for n in sorted(rows):
-            speedup = base / rows[n] if rows[n] > 0 else float("inf")
-            if n > 1:
-                best = max(best, speedup)
-            cells.append(f"workers:{n} {fmt_ns(rows[n])} ({speedup:.2f}x)")
-        print(f"  {key}:\n    " + "\n    ".join(cells))
-        if gate_armed and best < min_scaling:
-            failures.append((key, best))
-
-    if min_scaling and not gate_armed:
-        print(f"== scaling gate ({min_scaling:.2f}x) not armed: "
-              f"{cores} core(s) < 4 (use --force-scaling to override)")
-    if failures:
-        print(f"\n!! {len(failures)} series below the {min_scaling:.2f}x "
-              "scaling target:")
-        for key, best in failures:
-            print(f"!!   {key} (best {best:.2f}x)")
-        return 1
-    if gate_armed:
-        print(f"== scaling gate clean (>= {min_scaling:.2f}x)")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--threshold", type=float, default=1.25)
     ap.add_argument("--warn-only", action="store_true")
-    ap.add_argument("--min-scaling", type=float, default=0.0,
-                    help="required best multi-worker speedup per series "
-                         "(armed only on hosts with >= 4 CPUs)")
-    ap.add_argument("--force-scaling", action="store_true",
-                    help="arm --min-scaling regardless of host core count")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -138,8 +68,6 @@ def main():
         for name in sorted(set(cur) - set(base)):
             print(f"  {name}: new benchmark (no baseline)")
 
-    scaling_rc = report_scaling(cur, args.min_scaling, args.force_scaling)
-
     if regressions:
         print(f"\n!! {len(regressions)} benchmark(s) regressed beyond "
               f"{args.threshold:.2f}x:")
@@ -147,10 +75,8 @@ def main():
             print(f"!!   {name} ({ratio:.2f}x)")
         if args.warn_only:
             print("!! BENCH_WARN_ONLY set: reporting only, not failing")
-            return scaling_rc
+            return 0
         return 1
-    if scaling_rc:
-        return scaling_rc
     print("== perf gate clean")
     return 0
 

@@ -6,12 +6,7 @@
 // Also prints the headline-claims summary of section 1: local/group caching
 // improves throughput ~1.4x/~1.6x and response time ~8x/~20x compared to
 // the classical cloud configuration.
-// Set COLONY_APPLY_WORKERS=N to run every DC with an N-worker apply pool
-// (the §10 parallel-apply path); the converged results are identical by the
-// pool-equivalence guarantee, only the wall-clock changes. The scaling
-// claim (>= 2x at 4 workers) applies to multi-core hosts.
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -36,10 +31,6 @@ Point run_point(ClientMode mode, std::size_t dcs, std::size_t clients,
   cluster_cfg.num_dcs = dcs;
   cluster_cfg.k_stability = 1;
   cluster_cfg.seed = 42 + clients;
-  if (const char* workers = std::getenv("COLONY_APPLY_WORKERS")) {
-    cluster_cfg.apply_workers_per_dc =
-        static_cast<std::size_t>(std::strtoul(workers, nullptr, 10));
-  }
   Cluster cluster(cluster_cfg);
 
   chat::ChatDriverConfig cfg;

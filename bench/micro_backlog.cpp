@@ -1,29 +1,21 @@
 // Backlog-scale drain benchmark: the reconnect burst. A replica receives a
 // large backlog of transactions in reverse causal order (every push pends
 // until its predecessor arrives), then everything cascades. This is the
-// workload the indexed wake-list scheduler exists for; the fixpoint
-// reference runs the same backlog as the "before" series, so one
-// BENCH_micro.json carries both sides of the comparison.
+// workload the indexed wake-list scheduler exists for.
 //
 // Variants: backlog size 1k/5k/20k, with and without ACL masking (masking
-// exercises the per-origin/per-key masked-write index vs. the reference's
-// full masked-set rescans).
+// exercises the per-origin/per-key masked-write index).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "alloc_counter.hpp"
 #include "core/visibility.hpp"
 #include "crdt/counter.hpp"
-#include "crdt/or_set.hpp"
-#include "storage/apply_pool.hpp"
 
 namespace colony {
 namespace {
-
-using DrainMode = VisibilityEngine::DrainMode;
 
 Transaction make_txn(DcId dc, Timestamp ts, std::size_t num_dcs) {
   Transaction txn;
@@ -40,16 +32,14 @@ Transaction make_txn(DcId dc, Timestamp ts, std::size_t num_dcs) {
   return txn;
 }
 
-void run_backlog(benchmark::State& state, DrainMode mode, bool masking) {
+void run_backlog(benchmark::State& state, bool masking) {
   const auto n = static_cast<Timestamp>(state.range(0));
   benchalloc::Scope allocs;
   for (auto _ : state) {
     state.PauseTiming();
     TxnStore txns;
     JournalStore store;
-    VisibilityEngine::set_default_drain_mode(mode);
     VisibilityEngine engine(txns, store, 3);
-    VisibilityEngine::set_default_drain_mode(DrainMode::kIndexed);
     if (masking) {
       // Every 7th transaction is vetoed; key overlap then drags causal
       // dependants into the mask transitively.
@@ -79,7 +69,7 @@ void run_backlog(benchmark::State& state, DrainMode mode, bool masking) {
 }
 
 void BM_BacklogDrainIndexed(benchmark::State& state) {
-  run_backlog(state, DrainMode::kIndexed, /*masking=*/false);
+  run_backlog(state, /*masking=*/false);
 }
 BENCHMARK(BM_BacklogDrainIndexed)
     ->Arg(1000)
@@ -87,106 +77,13 @@ BENCHMARK(BM_BacklogDrainIndexed)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_BacklogDrainReference(benchmark::State& state) {
-  run_backlog(state, DrainMode::kFixpointReference, /*masking=*/false);
-}
-BENCHMARK(BM_BacklogDrainReference)
-    ->Arg(1000)
-    ->Arg(5000)
-    ->Arg(20000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);  // quadratic: one deterministic pass is the number
-
 void BM_BacklogDrainMaskedIndexed(benchmark::State& state) {
-  run_backlog(state, DrainMode::kIndexed, /*masking=*/true);
+  run_backlog(state, /*masking=*/true);
 }
 BENCHMARK(BM_BacklogDrainMaskedIndexed)
     ->Arg(1000)
     ->Arg(5000)
     ->Arg(20000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BacklogDrainMaskedReference(benchmark::State& state) {
-  run_backlog(state, DrainMode::kFixpointReference, /*masking=*/true);
-}
-BENCHMARK(BM_BacklogDrainMaskedReference)
-    ->Arg(1000)
-    ->Arg(5000)
-    ->Arg(20000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// --- parallel apply -------------------------------------------------------
-
-/// Apply-heavy transaction: 8 mixed-type ops spread over 64 keys, so the
-/// journal-append + CRDT-fold tail dominates the drain and the sharded
-/// worker pool has real work to fan out.
-Transaction make_heavy_txn(Timestamp ts, std::size_t num_dcs) {
-  Transaction txn;
-  txn.meta.dot = Dot{100, ts};
-  txn.meta.origin = 100;
-  txn.meta.snapshot = VersionVector(num_dcs);
-  txn.meta.snapshot.set(0, ts - 1);
-  txn.meta.mark_accepted(0, ts);
-  for (std::uint64_t op = 0; op < 8; ++op) {
-    const ObjectKey key{"b", "h" + std::to_string((ts * 8 + op) % 64)};
-    if (op % 2 == 0) {
-      txn.ops.push_back(
-          OpRecord{key, CrdtType::kPnCounter, PnCounter::prepare_add(1)});
-    } else {
-      txn.ops.push_back(OpRecord{
-          key, CrdtType::kOrSet,
-          OrSet::prepare_add("m" + std::to_string(ts), txn.meta.dot)});
-    }
-  }
-  return txn;
-}
-
-/// The reconnect cascade with the apply tail handed to a worker pool.
-/// `workers` = 0 runs the inline path (the scaling baseline); the series
-/// name carries the worker count so compare_bench.py can build a
-/// per-worker-count scaling table. On a single-core host the pooled rows
-/// measure handoff overhead, not speedup — the scaling target applies to
-/// multi-core hosts (see bench/README note in DESIGN.md §10).
-void run_pooled_backlog(benchmark::State& state) {
-  const auto n = static_cast<Timestamp>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const std::unique_ptr<ApplyPool> pool =
-      workers > 0 ? std::make_unique<ApplyPool>(workers) : nullptr;
-  benchalloc::Scope allocs;
-  for (auto _ : state) {
-    state.PauseTiming();
-    TxnStore txns;
-    JournalStore store;
-    if (pool != nullptr) store.set_apply_pool(pool.get());
-    VisibilityEngine engine(txns, store, 3);
-    std::vector<Transaction> backlog;
-    backlog.reserve(n);
-    for (Timestamp ts = 1; ts <= n; ++ts) {
-      backlog.push_back(make_heavy_txn(ts, 3));
-    }
-    state.ResumeTiming();
-    for (auto it = backlog.rbegin(); it != backlog.rend(); ++it) {
-      engine.ingest(*it);
-    }
-    if (engine.pending_count() != 0) {
-      state.SkipWithError("backlog did not drain");
-      break;
-    }
-    benchmark::DoNotOptimize(engine.state_vector());
-  }
-  state.counters["allocs/op"] = benchmark::Counter(
-      static_cast<double>(allocs.allocs()), benchmark::Counter::kAvgIterations);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n) * 8);
-}
-
-void BM_BacklogDrainPooledApply(benchmark::State& state) {
-  run_pooled_backlog(state);
-}
-BENCHMARK(BM_BacklogDrainPooledApply)
-    ->ArgsProduct({{1000, 5000, 20000}, {0, 1, 2, 4}})
-    ->ArgNames({"n", "workers"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

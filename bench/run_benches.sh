@@ -15,10 +15,6 @@
 #   BENCH_OUT      output JSON path (default: <repo>/BENCH_micro.json)
 #   BENCH_FILTER   --benchmark_filter regex (default: whole suite)
 #   BENCH_WARN_ONLY=1  report regressions without failing
-#   BENCH_MIN_SCALING  required multi-worker speedup for workers:N series
-#                      (default 2.0; armed only on hosts with >= 4 CPUs —
-#                      single-core machines report the scaling table
-#                      informationally)
 #
 # To refresh the baseline after an intentional perf change:
 #   bench/run_benches.sh && cp BENCH_micro.json bench/BENCH_baseline.json
@@ -55,4 +51,4 @@ if [ "${BENCH_WARN_ONLY:-0}" = "1" ]; then
   warn_flag=(--warn-only)
 fi
 python3 "$ROOT/bench/compare_bench.py" "$BASELINE" "$OUT" \
-  --threshold 1.25 --min-scaling "${BENCH_MIN_SCALING:-2.0}" "${warn_flag[@]}"
+  --threshold 1.25 "${warn_flag[@]}"

@@ -21,19 +21,12 @@ Cluster::Cluster(ClusterConfig config)
                     config_.k_stability <= config_.num_dcs,
                 "K out of range");
 
-  // Apply pools first (shards and DCs hold pointers into them), then shard
-  // servers (DC constructors expect them linked).
-  if (config_.apply_workers_per_dc >= 2) {
-    for (DcId d = 0; d < config_.num_dcs; ++d) {
-      pools_[d] = std::make_unique<ApplyPool>(config_.apply_workers_per_dc);
-    }
-  }
+  // Shard servers first (DC constructors expect them linked).
   std::vector<std::vector<NodeId>> shard_ids(config_.num_dcs);
   for (DcId d = 0; d < config_.num_dcs; ++d) {
     for (std::size_t s = 0; s < config_.shards_per_dc; ++s) {
       const NodeId sid = kShardBase * (d + 1) + 1 + s;
-      shards_.push_back(
-          std::make_unique<ShardServer>(net_, sid, apply_pool(d)));
+      shards_.push_back(std::make_unique<ShardServer>(net_, sid));
       shard_ids[d].push_back(sid);
       net_.connect(dc_node_id(d), sid, config_.intra_dc);
     }
@@ -54,7 +47,6 @@ Cluster::Cluster(ClusterConfig config)
     auto& disk = disks_[dc_node_id(d)];
     disk = std::make_unique<storage::Wal>();
     dc_config.disk = disk.get();
-    dc_config.apply_pool = apply_pool(d);
     dcs_.push_back(std::make_unique<DcNode>(net_, dc_node_id(d), dc_config,
                                             std::move(peers), shard_ids[d]));
   }

@@ -16,7 +16,6 @@
 #include "group/peer_group.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
-#include "storage/apply_pool.hpp"
 #include "storage/wal.hpp"
 
 namespace colony {
@@ -36,10 +35,6 @@ struct ClusterConfig {
   SimTime dc_gossip_interval = 100 * kMillisecond;
   SimTime dc_rpc_service_time = 150 * kMicrosecond;
   SimTime dc_push_service_time = 15 * kMicrosecond;
-  /// Apply worker threads per DC (shared by the DC node and its shards).
-  /// 0 or 1 = no pool, apply inline on the event thread; the converged
-  /// state is byte-identical either way (DESIGN.md section 10).
-  std::size_t apply_workers_per_dc = 0;
 };
 
 class Cluster {
@@ -108,12 +103,6 @@ class Cluster {
     return it == disks_.end() ? nullptr : it->second.get();
   }
 
-  /// The apply pool of a DC, or nullptr when applying inline.
-  [[nodiscard]] ApplyPool* apply_pool(DcId dc) {
-    auto it = pools_.find(dc);
-    return it == pools_.end() ? nullptr : it->second.get();
-  }
-
   // --- quiescence (chaos harness audit points) -------------------------------
 
   /// Restore every link and node after arbitrary fault injection.
@@ -133,10 +122,6 @@ class Cluster {
   sim::Scheduler sched_;
   sim::Network net_;
 
-  /// One apply pool per DC when apply_workers_per_dc >= 2, keyed by DC id.
-  /// Shared by the DC node and its shards; declared before them so it is
-  /// destroyed after every node that might still reference it.
-  std::map<DcId, std::unique_ptr<ApplyPool>> pools_;
   std::vector<std::unique_ptr<ShardServer>> shards_;
   std::vector<std::unique_ptr<DcNode>> dcs_;
   std::vector<std::unique_ptr<EdgeNode>> edges_;

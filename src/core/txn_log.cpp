@@ -16,21 +16,6 @@ std::uint64_t VisibilityLog::position(const Dot& dot) const {
   return it->second;
 }
 
-std::uint64_t VisibilityLog::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (const Dot& dot : entries_) {
-    mix(dot.origin);
-    mix(dot.counter);
-  }
-  return h;
-}
-
 std::vector<Dot> VisibilityLog::since(std::size_t from) const {
   if (from >= entries_.size()) return {};
   return {entries_.begin() + static_cast<std::ptrdiff_t>(from),

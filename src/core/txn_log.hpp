@@ -32,11 +32,6 @@ class VisibilityLog {
   /// Entries from index `from` (inclusive) onwards.
   [[nodiscard]] std::vector<Dot> since(std::size_t from) const;
 
-  /// Order-sensitive FNV-1a over the entries: a cheap cross-run fingerprint
-  /// (the pool-size equivalence sweep compares logs across worker counts —
-  /// identical visibility orders must hash identically).
-  [[nodiscard]] std::uint64_t digest() const;
-
   /// Checkpoint serialization: entry order is the log's payload, so the
   /// vector encodes as-is; the position index is rebuilt on decode.
   void encode(Encoder& enc) const;

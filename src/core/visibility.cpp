@@ -1,7 +1,6 @@
 #include "core/visibility.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -9,20 +8,7 @@ namespace colony {
 
 VisibilityEngine::VisibilityEngine(TxnStore& txns, JournalStore& store,
                                    std::size_t num_dcs)
-    : txns_(txns), store_(store), state_(num_dcs), mode_(default_mode_) {
-  if (shadow_default_) {
-    shadow_store_ = std::make_unique<JournalStore>();
-    shadow_.reset(new VisibilityEngine(txns, *shadow_store_, num_dcs,
-                                       /*is_shadow=*/true));
-  }
-}
-
-VisibilityEngine::VisibilityEngine(TxnStore& txns, JournalStore& store,
-                                   std::size_t num_dcs, bool /*is_shadow*/)
-    : txns_(txns),
-      store_(store),
-      state_(num_dcs),
-      mode_(DrainMode::kFixpointReference) {}
+    : txns_(txns), store_(store), state_(num_dcs) {}
 
 namespace {
 
@@ -46,24 +32,42 @@ bool masked_dependency(const Transaction& txn, const Transaction& m) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Event entry points. Each mutates the (shared) TxnStore exactly once, then
-// notifies this engine and — when equivalence checking is on — the reference
-// shadow with the same event, so both observe an identical stream.
+// Event entry points. Each mutates the TxnStore at most once, runs the
+// scheduler, then tells the observer (if any) about the event.
 // ---------------------------------------------------------------------------
 
 bool VisibilityEngine::ingest(Transaction txn) {
   const Dot dot = txn.meta.dot;
   const bool fresh = txns_.add(std::move(txn));
-  on_ingested(dot, fresh);
-  if (shadow_) shadow_->on_ingested(dot, fresh);
+  if (fresh) {
+    add_pending(dot);
+  } else if (applied_.contains(dot)) {
+    // A duplicate copy can carry commit slots learned only after we applied
+    // the transaction (equivalent timestamps after a migration, section
+    // 3.8); fold them in so those sequence components keep advancing — and
+    // wake dependants parked on this dot's commit info (a read-my-writes
+    // apply can precede the commit knowledge they need).
+    advance_state(txns_.find(dot)->meta);
+  }
+  // Fresh, or the merge may have made the record concrete or adopted a
+  // resolved snapshot: anything waiting on this dot (itself included) must
+  // look again.
+  fire_txn_event(dot);
+  pump();
+  if (observer_ != nullptr) observer_->on_ingested(dot, fresh);
   return fresh;
 }
 
 bool VisibilityEngine::admit(Transaction txn) {
   const Dot dot = txn.meta.dot;
   const bool fresh = txns_.add(std::move(txn));
-  on_admitted(dot);
-  if (shadow_) shadow_->on_admitted(dot);
+  // The record entered the store without being scheduled for visibility
+  // (external ordering owns its application) — but pending transactions
+  // naming it as a dep can now resolve their effective snapshots.
+  if (applied_.contains(dot)) advance_state(txns_.find(dot)->meta);
+  fire_txn_event(dot);
+  pump();
+  if (observer_ != nullptr) observer_->on_admitted(dot);
   return fresh;
 }
 
@@ -71,7 +75,6 @@ void VisibilityEngine::resolve(const Dot& dot, DcId dc, Timestamp ts) {
   if (!txns_.contains(dot)) return;
   txns_.resolve(dot, dc, ts);
   on_resolution(dot);
-  if (shadow_) shadow_->on_resolution(dot);
 }
 
 void VisibilityEngine::resolve_full(const Dot& dot, DcId dc, Timestamp ts,
@@ -82,115 +85,6 @@ void VisibilityEngine::resolve_full(const Dot& dot, DcId dc, Timestamp ts,
   txn->meta.pending_deps.clear();
   txn->meta.mark_accepted(dc, ts);
   on_resolution(dot);
-  if (shadow_) shadow_->on_resolution(dot);
-}
-
-bool VisibilityEngine::apply_causal(const Dot& dot) {
-  const bool applied = apply_causal_engine(dot);
-  if (shadow_) {
-    const bool shadow_applied = shadow_->apply_causal_engine(dot);
-    if (shadow_applied != applied && shadow_divergence_.empty()) {
-      std::ostringstream os;
-      os << "apply_causal(" << dot.origin << ":" << dot.counter
-         << "): indexed=" << applied << " reference=" << shadow_applied;
-      shadow_divergence_ = os.str();
-    }
-  }
-  return applied;
-}
-
-void VisibilityEngine::apply_local(const Dot& dot) {
-  const Transaction* txn = txns_.find(dot);
-  COLONY_ASSERT(txn != nullptr, "apply_local of unknown transaction");
-  if (!applied_.contains(dot)) {
-    const bool masked = security_check_ != nullptr && !security_check_(*txn);
-    apply_ops(*txn, masked);
-    applied_.insert(dot);
-    if (masked) mark_masked(dot, *txn);
-    log_.append(dot);
-    if (txn->meta.concrete) advance_state(txn->meta);
-    if (visible_hook_ != nullptr && !masked) visible_hook_(*txn);
-    if (pending_set_.contains(dot)) {
-      remove_pending(dot);
-      std::erase(pending_, dot);
-    }
-    fire_apply_event(dot);
-    pump();
-    store_.flush_applies();  // pump() may early-return in reference mode
-  }
-  if (shadow_) shadow_->apply_local(dot);
-}
-
-void VisibilityEngine::seed_state(const VersionVector& v) {
-  state_.merge(v);
-  seeded_cut_.merge(v);
-  catch_up_state_wakes();
-  if (shadow_) shadow_->seed_state(v);
-}
-
-void VisibilityEngine::set_security_check(SecurityCheck check) {
-  if (shadow_) shadow_->set_security_check(check);
-  security_check_ = std::move(check);
-}
-
-void VisibilityEngine::set_policy_key(ObjectKey key) {
-  if (shadow_) shadow_->set_policy_key(key);
-  policy_key_ = std::move(key);
-}
-
-void VisibilityEngine::set_key_filter(KeyFilter filter) {
-  if (shadow_) shadow_->set_key_filter(filter);
-  key_filter_ = std::move(filter);
-}
-
-void VisibilityEngine::set_sequential_components(bool on) {
-  sequential_ = on;
-  if (shadow_) shadow_->set_sequential_components(on);
-}
-
-void VisibilityEngine::drain() {
-  if (mode_ == DrainMode::kFixpointReference) {
-    drain_fixpoint();
-  } else {
-    catch_up_state_wakes();
-    pump();
-  }
-  if (shadow_) shadow_->drain();
-}
-
-// ---------------------------------------------------------------------------
-// Engine-side event handlers (no TxnStore mutation; shared by primary and
-// shadow).
-// ---------------------------------------------------------------------------
-
-void VisibilityEngine::on_ingested(const Dot& dot, bool fresh) {
-  if (fresh) {
-    add_pending(dot);
-    fire_txn_event(dot);
-  } else if (applied_.contains(dot)) {
-    // A duplicate copy can carry commit slots learned only after we applied
-    // the transaction (equivalent timestamps after a migration, section
-    // 3.8); fold them in so those sequence components keep advancing — and
-    // wake dependants parked on this dot's commit info (a read-my-writes
-    // apply can precede the commit knowledge they need).
-    advance_state(txns_.find(dot)->meta);
-    fire_txn_event(dot);
-  } else {
-    // The merge may have made the record concrete or adopted a resolved
-    // snapshot: anything waiting on this dot (itself included) must look
-    // again.
-    fire_txn_event(dot);
-  }
-  drain_self();
-}
-
-void VisibilityEngine::on_admitted(const Dot& dot) {
-  // The record entered the store without being scheduled for visibility
-  // (external ordering owns its application) — but pending transactions
-  // naming it as a dep can now resolve their effective snapshots.
-  if (applied_.contains(dot)) advance_state(txns_.find(dot)->meta);
-  fire_txn_event(dot);
-  drain_self();
 }
 
 void VisibilityEngine::on_resolution(const Dot& dot) {
@@ -206,47 +100,62 @@ void VisibilityEngine::on_resolution(const Dot& dot) {
   // drain's full rescan covers this implicitly; the indexed scheduler
   // must do it explicitly (found by the drain-equivalence sweep).
   fire_txn_event(dot);
-  drain_self();
+  pump();
+  if (observer_ != nullptr) observer_->on_resolved(dot);
 }
 
-void VisibilityEngine::drain_self() {
-  if (mode_ == DrainMode::kFixpointReference) {
-    drain_fixpoint();
-  } else {
-    pump();
-  }
-}
-
-bool VisibilityEngine::apply_causal_engine(const Dot& dot) {
+bool VisibilityEngine::apply_causal(const Dot& dot) {
   const Transaction* txn = txns_.find(dot);
   COLONY_ASSERT(txn != nullptr, "apply_causal of unknown transaction");
-  if (applied_.contains(dot)) return true;
-  if (!txn->meta.snapshot.leq(state_)) return false;
-  for (const Dot& dep : txn->meta.pending_deps) {
-    if (!applied_.contains(dep)) return false;
+  bool applied = applied_.contains(dot);
+  if (!applied && txn->meta.snapshot.leq(state_) &&
+      std::all_of(txn->meta.pending_deps.begin(),
+                  txn->meta.pending_deps.end(),
+                  [this](const Dot& dep) { return applied_.contains(dep); })) {
+    apply_unscheduled(*txn);
+    applied = true;
   }
-  // Inline apply_local's tail (apply_local would also forward to the
-  // shadow, which runs its own apply_causal_engine with its own gate).
-  const bool masked = security_check_ != nullptr && !security_check_(*txn);
-  apply_ops(*txn, masked);
-  applied_.insert(dot);
-  if (masked) mark_masked(dot, *txn);
-  log_.append(dot);
-  if (txn->meta.concrete) advance_state(txn->meta);
-  if (visible_hook_ != nullptr && !masked) visible_hook_(*txn);
-  if (pending_set_.contains(dot)) {
-    remove_pending(dot);
-    std::erase(pending_, dot);
-  }
-  fire_apply_event(dot);
+  if (observer_ != nullptr) observer_->on_apply_causal(dot, applied);
+  return applied;
+}
+
+void VisibilityEngine::apply_local(const Dot& dot) {
+  const Transaction* txn = txns_.find(dot);
+  COLONY_ASSERT(txn != nullptr, "apply_local of unknown transaction");
+  if (!applied_.contains(dot)) apply_unscheduled(*txn);
+  if (observer_ != nullptr) observer_->on_apply_local(dot);
+}
+
+void VisibilityEngine::seed_state(const VersionVector& v) {
+  state_.merge(v);
+  seeded_cut_.merge(v);
+  catch_up_state_wakes();
+  if (observer_ != nullptr) observer_->on_seeded(v);
+}
+
+void VisibilityEngine::drain() {
+  catch_up_state_wakes();
   pump();
-  store_.flush_applies();  // pump() may early-return in reference mode
-  return true;
+  if (observer_ != nullptr) observer_->on_drained();
 }
 
 // ---------------------------------------------------------------------------
 // Shared apply machinery.
 // ---------------------------------------------------------------------------
+
+void VisibilityEngine::apply_unscheduled(const Transaction& txn) {
+  const Dot dot = txn.meta.dot;
+  const bool masked = security_check_ != nullptr && !security_check_(txn);
+  apply_ops(txn, masked);
+  applied_.insert(dot);
+  if (masked) mark_masked(dot, txn);
+  log_.append(dot);
+  if (txn.meta.concrete) advance_state(txn.meta);
+  if (visible_hook_ != nullptr && !masked) visible_hook_(txn);
+  if (pending_set_.contains(dot)) remove_pending(dot);
+  fire_apply_event(dot);
+  pump();
+}
 
 void VisibilityEngine::apply_ops(const Transaction& txn, bool masked) {
   for (const OpRecord& op : txn.ops) {
@@ -301,78 +210,10 @@ void VisibilityEngine::advance_state(const TxnMeta& meta) {
       if (prefix > state_.at(dc)) state_.set(dc, prefix);
     });
   }
-  if (mode_ != DrainMode::kIndexed) return;
   const DcId width = static_cast<DcId>(state_.size());
   for (DcId dc = 0; dc < width; ++dc) {
     if (state_.at(dc) > before.at(dc)) wake_state_component(dc);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Fixpoint reference scheduler — the original drain, kept verbatim as the
-// executable specification the indexed scheduler is checked against.
-// ---------------------------------------------------------------------------
-
-bool VisibilityEngine::try_apply_fixpoint(const Dot& dot) {
-  const Transaction* txn = txns_.find(dot);
-  COLONY_ASSERT(txn != nullptr, "pending dot without transaction record");
-  if (applied_.contains(dot)) return true;  // e.g. applied locally earlier
-  if (!txn->meta.concrete) return false;
-
-  VersionVector eff;
-  if (!txns_.effective_snapshot(dot, eff)) return false;
-  if (!eff.leq(state_)) return false;
-
-  // Order within a ready batch: a seeded cut can make several pending
-  // transactions applicable at once, and the pending buffer holds them in
-  // arrival order — which, across two session channels or after a loss
-  // repair, may invert causality. Defer this transaction while a causal
-  // predecessor is still pending; drain() re-passes until no progress, so
-  // this only reorders, never starves (causality is acyclic).
-  for (const Dot& other : pending_) {
-    if (other == dot) continue;
-    if (txns_.visible_at(other, eff)) return false;
-  }
-
-  bool masked = security_check_ != nullptr && !security_check_(*txn);
-  if (!masked) {
-    // Transitive masking (paper sections 2.4 / 5.3): a transaction that
-    // causally follows a masked one AND depends on it through a data-flow
-    // channel is masked as well.
-    for (const Dot& m : masked_) {
-      const Transaction* masked_txn = txns_.find(m);
-      if (masked_txn != nullptr && txns_.visible_at(m, eff) &&
-          masked_dependency(*txn, *masked_txn)) {
-        masked = true;
-        break;
-      }
-    }
-  }
-
-  apply_ops(*txn, masked);
-  applied_.insert(dot);
-  if (masked) mark_masked(dot, *txn);
-  log_.append(dot);
-  advance_state(txn->meta);
-  if (visible_hook_ != nullptr && !masked) visible_hook_(*txn);
-  return true;
-}
-
-void VisibilityEngine::drain_fixpoint() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (try_apply_fixpoint(*it)) {
-        pending_set_.erase(*it);
-        it = pending_.erase(it);
-        progress = true;
-      } else {
-        ++it;
-      }
-    }
-  }
-  store_.flush_applies();  // event-boundary join, as in pump()
 }
 
 // ---------------------------------------------------------------------------
@@ -381,11 +222,7 @@ void VisibilityEngine::drain_fixpoint() {
 
 void VisibilityEngine::add_pending(const Dot& dot) {
   pending_set_.insert(dot);
-  if (mode_ == DrainMode::kFixpointReference) {
-    pending_.push_back(dot);
-  } else {
-    push_ready(dot);
-  }
+  push_ready(dot);
 }
 
 void VisibilityEngine::remove_pending(const Dot& dot) {
@@ -414,7 +251,6 @@ void VisibilityEngine::guard_on_state(const Dot& dot, DcId dc,
 }
 
 void VisibilityEngine::fire_txn_event(const Dot& dot) {
-  if (mode_ != DrainMode::kIndexed) return;
   // Coverage-index this dot BEFORE waking anything: a waiter examined
   // first must see its (now concrete) causal predecessor in
   // covered_pending_, or its within-batch order scan would let it apply
@@ -446,7 +282,6 @@ void VisibilityEngine::fire_txn_event(const Dot& dot) {
 }
 
 void VisibilityEngine::fire_apply_event(const Dot& dot) {
-  if (mode_ != DrainMode::kIndexed) return;
   if (auto it = wake_on_apply_.find(dot); it != wake_on_apply_.end()) {
     std::vector<WakeRef> refs = std::move(it->second);
     wake_on_apply_.erase(it);
@@ -460,7 +295,6 @@ void VisibilityEngine::fire_apply_event(const Dot& dot) {
 }
 
 void VisibilityEngine::wake_state_component(DcId dc) {
-  if (mode_ != DrainMode::kIndexed) return;
   const Timestamp now = state_.at(dc);
   if (auto it = coverage_queue_.find(dc); it != coverage_queue_.end()) {
     auto& queue = it->second;
@@ -486,7 +320,6 @@ void VisibilityEngine::wake_state_component(DcId dc) {
 }
 
 void VisibilityEngine::catch_up_state_wakes() {
-  if (mode_ != DrainMode::kIndexed) return;
   std::vector<DcId> dcs;
   dcs.reserve(coverage_queue_.size() + wake_on_state_.size());
   for (const auto& [dc, _] : coverage_queue_) dcs.push_back(dc);
@@ -537,7 +370,7 @@ bool VisibilityEngine::masked_dependency_indexed(
   return false;
 }
 
-bool VisibilityEngine::try_apply_indexed(const Dot& dot) {
+bool VisibilityEngine::try_apply(const Dot& dot) {
   const Transaction* txn = txns_.find(dot);
   COLONY_ASSERT(txn != nullptr, "pending dot without transaction record");
   if (applied_.contains(dot)) {  // e.g. applied locally earlier
@@ -581,12 +414,14 @@ bool VisibilityEngine::try_apply_indexed(const Dot& dot) {
     COLONY_ASSERT(false, "eff not leq state but no lagging component");
   }
 
-  // Within-batch causal order (see try_apply_fixpoint): defer behind any
-  // still-pending causal predecessor. Only a concrete pending transaction
-  // with an accepted commit component inside the state vector can satisfy
-  // visible_at(·, eff) with eff <= state_, and covered_pending_ is exactly
-  // the maintained superset of those — so scanning it replaces scanning
-  // all of pending_.
+  // Within-batch causal order: a seeded cut can make several pending
+  // transactions applicable at once, and their arrival order — across two
+  // session channels, or after a loss repair — may invert causality. Defer
+  // behind any still-pending causal predecessor. Only a concrete pending
+  // transaction with an accepted commit component inside the state vector
+  // can satisfy visible_at(·, eff) with eff <= state_, and covered_pending_
+  // is exactly the maintained superset of those — so scanning it replaces
+  // scanning every pending transaction.
   for (const Dot& other : covered_pending_) {
     if (other == dot) continue;
     if (txns_.visible_at(other, eff)) {
@@ -612,57 +447,19 @@ bool VisibilityEngine::try_apply_indexed(const Dot& dot) {
 }
 
 void VisibilityEngine::pump() {
-  if (draining_ || mode_ != DrainMode::kIndexed) return;
+  if (draining_) return;
   draining_ = true;
   while (!ready_.empty()) {
     const Dot dot = ready_.front();
     ready_.pop_front();
     if (!pending_set_.contains(dot)) continue;
-    try_apply_indexed(dot);
+    try_apply(dot);
   }
   draining_ = false;
-  // Join any applies handed to the worker pool before the enclosing sim
-  // event completes: parallelism must stay invisible above the event
-  // boundary (DESIGN.md section 10). No-op without a pool or with nothing
-  // pending; nested pump() calls returned above, so this runs once per
-  // outermost drain.
-  store_.flush_applies();
-}
-
-void VisibilityEngine::set_drain_mode(DrainMode mode) {
-  if (mode == mode_) return;
-  mode_ = mode;
-  rebuild_scheduler();
-}
-
-void VisibilityEngine::rebuild_scheduler() {
-  // Drop every scheduler structure and rebuild from the pending set.
-  wake_on_txn_.clear();
-  wake_on_apply_.clear();
-  wake_on_state_.clear();
-  coverage_queue_.clear();
-  covered_pending_.clear();
-  guard_gen_.clear();
-  ready_.clear();
-  pending_.clear();
-  if (mode_ == DrainMode::kFixpointReference) {
-    pending_.assign(pending_set_.begin(), pending_set_.end());
-    drain_fixpoint();
-  } else {
-    // Coverage-index every concrete pending txn up front (see
-    // fire_txn_event): the rebuild examines them in arbitrary order, and
-    // each batch-order scan must already see its covered predecessors.
-    for (const Dot& dot : pending_set_) {
-      const Transaction* txn = txns_.find(dot);
-      if (txn != nullptr && txn->meta.concrete) index_coverage(dot);
-    }
-    for (const Dot& dot : pending_set_) push_ready(dot);
-    pump();
-  }
 }
 
 // ---------------------------------------------------------------------------
-// Mask recomputation, repair, equivalence.
+// Mask recomputation, repair.
 // ---------------------------------------------------------------------------
 
 std::size_t VisibilityEngine::recompute_masks() {
@@ -716,7 +513,7 @@ std::size_t VisibilityEngine::recompute_masks() {
     }
     result = flipped.size();
   }
-  if (shadow_) shadow_->recompute_masks();
+  if (observer_ != nullptr) observer_->on_masks_recomputed();
   return result;
 }
 
@@ -735,44 +532,12 @@ void VisibilityEngine::reapply_missing(const ObjectKey& key,
       }
     }
   }
-  store_.flush_applies();
 }
 
 JournalStore::DotPredicate VisibilityEngine::visible_predicate() const {
   return [this](const Dot& dot) {
     return applied_.contains(dot) && !masked_.contains(dot);
   };
-}
-
-bool VisibilityEngine::shadow_matches(std::string* why) const {
-  if (!shadow_) return true;
-  const auto report = [&](const std::string& msg) {
-    if (why != nullptr) *why = msg;
-    return false;
-  };
-  if (!shadow_divergence_.empty()) return report(shadow_divergence_);
-  if (applied_ != shadow_->applied_) {
-    std::ostringstream os;
-    os << "applied sets differ: indexed=" << applied_.size()
-       << " reference=" << shadow_->applied_.size();
-    return report(os.str());
-  }
-  if (masked_ != shadow_->masked_) {
-    std::ostringstream os;
-    os << "masked sets differ: indexed=" << masked_.size()
-       << " reference=" << shadow_->masked_.size();
-    return report(os.str());
-  }
-  if (!(state_.leq(shadow_->state_) && shadow_->state_.leq(state_))) {
-    return report("state vectors differ");
-  }
-  if (pending_set_ != shadow_->pending_set_) {
-    std::ostringstream os;
-    os << "pending sets differ: indexed=" << pending_set_.size()
-       << " reference=" << shadow_->pending_set_.size();
-    return report(os.str());
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -820,24 +585,19 @@ void VisibilityEngine::decode_state(Decoder& dec) {
   read_dots(masked_);
   read_dots(pending_set_);
   rebuild_masked_index();
+  // The wake index is derived state: re-register every pending transaction.
   // A checkpoint is only taken at a quiescent point within the node, so
-  // every pending transaction is genuinely blocked: the rebuild registers
-  // guards (indexed) or primes the scan list (reference) without applying.
-  rebuild_scheduler();
-  if (shadow_) shadow_->adopt_state(*this);
-}
-
-void VisibilityEngine::adopt_state(const VisibilityEngine& src) {
-  reset();
-  state_ = src.state_;
-  seeded_cut_ = src.seeded_cut_;
-  applied_slots_ = src.applied_slots_;
-  log_ = src.log_;
-  applied_ = src.applied_;
-  masked_ = src.masked_;
-  pending_set_ = src.pending_set_;
-  rebuild_masked_index();
-  rebuild_scheduler();
+  // every pending transaction is genuinely blocked and this applies
+  // nothing. Coverage-index the concrete ones first (see fire_txn_event):
+  // they are examined in arbitrary order, and each batch-order scan must
+  // already see its covered predecessors.
+  for (const Dot& dot : pending_set_) {
+    const Transaction* txn = txns_.find(dot);
+    if (txn != nullptr && txn->meta.concrete) index_coverage(dot);
+  }
+  for (const Dot& dot : pending_set_) push_ready(dot);
+  pump();
+  if (observer_ != nullptr) observer_->on_restored();
 }
 
 void VisibilityEngine::reset() {
@@ -849,7 +609,6 @@ void VisibilityEngine::reset() {
   applied_.clear();
   masked_.clear();
   pending_set_.clear();
-  pending_.clear();
   guard_seq_ = 0;
   guard_gen_.clear();
   wake_on_txn_.clear();
@@ -861,8 +620,7 @@ void VisibilityEngine::reset() {
   draining_ = false;
   masked_by_origin_.clear();
   masked_by_key_.clear();
-  shadow_divergence_.clear();
-  if (shadow_) shadow_->reset();
+  if (observer_ != nullptr) observer_->on_reset();
 }
 
 }  // namespace colony

@@ -7,17 +7,15 @@
 // the visibility log, and advances the replica's state vector. Transactions
 // whose dependencies are missing wait in a pending buffer.
 //
-// Two drain schedulers implement the same visibility relation (DESIGN.md
-// §8):
-//   * kIndexed (default): every blocked transaction registers ONE guard —
-//     the first unmet condition of its applicability check (own commit
-//     symbolic, a pending dep unknown/symbolic, a state-vector component
-//     below a threshold, or an unapplied causal predecessor) — and is
-//     re-examined only when that guard's wake event fires. Backlog drain is
-//     O(n log n) instead of the fixpoint's super-quadratic rescan.
-//   * kFixpointReference: the original rescan-until-no-progress drain, kept
-//     verbatim as the executable specification. The chaos equivalence sweep
-//     and the backlog benchmarks run both side by side.
+// The drain is an indexed wake-list scheduler (DESIGN.md §8): every blocked
+// transaction registers ONE guard — the first unmet condition of its
+// applicability check (own commit symbolic, a pending dep unknown/symbolic,
+// a state-vector component below a threshold, or an unapplied causal
+// predecessor) — and is re-examined only when that guard's wake event
+// fires, so a backlog drains in O(n log n). The original rescan-until-no-
+// progress drain survives as a test-only executable specification
+// (tests/support/reference_drain), fed every event through the Observer
+// seam and compared against this engine.
 //
 // A security hook can veto visibility of a transaction's *values* (ACL
 // masking, sections 5.3/6.4): a masked transaction is still delivered and
@@ -29,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,8 +52,22 @@ class VisibilityEngine {
   /// is fetched later). Replicas without a filter keep everything.
   using KeyFilter = std::function<bool(const ObjectKey&)>;
 
-  /// Which drain scheduler runs the pending buffer (see file header).
-  enum class DrainMode { kIndexed, kFixpointReference };
+  /// Told of each event after the engine has handled it (a test-only
+  /// reference drain replays the stream; production engines have none).
+  class Observer {
+   public:
+    virtual ~Observer() = default;
+    virtual void on_ingested(const Dot& dot, bool fresh) = 0;
+    virtual void on_admitted(const Dot& dot) = 0;
+    virtual void on_resolved(const Dot& dot) = 0;
+    virtual void on_apply_causal(const Dot& dot, bool applied) = 0;
+    virtual void on_apply_local(const Dot& dot) = 0;
+    virtual void on_seeded(const VersionVector& v) = 0;
+    virtual void on_drained() = 0;
+    virtual void on_masks_recomputed() = 0;
+    virtual void on_restored() = 0;
+    virtual void on_reset() = 0;
+  };
 
   VisibilityEngine(TxnStore& txns, JournalStore& store, std::size_t num_dcs);
 
@@ -115,16 +126,30 @@ class VisibilityEngine {
   [[nodiscard]] const std::unordered_set<Dot>& masked_set() const {
     return masked_;
   }
+  /// Every pending dot (equivalence checkers compare this across drains).
+  [[nodiscard]] const std::unordered_set<Dot>& pending_set() const {
+    return pending_set_;
+  }
 
-  void set_security_check(SecurityCheck check);
+  // Configuration. The getters let an Observer read it live.
+  void set_security_check(SecurityCheck check) {
+    security_check_ = std::move(check);
+  }
+  [[nodiscard]] const SecurityCheck& security_check() const {
+    return security_check_;
+  }
 
   /// Key of the policy object itself. Transactions touching it keep their
   /// at-apply mask decision during recompute_masks: re-judging an
   /// administrative change under the policy it created would let a
   /// bootstrap grant mask itself.
-  void set_policy_key(ObjectKey key);
+  void set_policy_key(ObjectKey key) { policy_key_ = std::move(key); }
+  [[nodiscard]] const ObjectKey& policy_key() const { return policy_key_; }
   void set_visible_hook(VisibleHook hook) { visible_hook_ = std::move(hook); }
-  void set_key_filter(KeyFilter filter);
+  void set_key_filter(KeyFilter filter) { key_filter_ = std::move(filter); }
+  [[nodiscard]] const TxnStore& txns() const { return txns_; }
+  /// Nullable, not owned; must outlive its attachment.
+  void set_observer(Observer* observer) { observer_ = observer; }
 
   /// Seed the state vector (e.g. from an initial checkout). Callers must
   /// guarantee the premise a seed asserts: every transaction below `v` is
@@ -151,7 +176,8 @@ class VisibilityEngine {
   /// transaction of the same origin could become visible before its
   /// predecessor. Edge caches must NOT enable this: they skip transactions
   /// outside their interest cut and advance via seeded K-stable cuts.
-  void set_sequential_components(bool on);
+  void set_sequential_components(bool on) { sequential_ = on; }
+  [[nodiscard]] bool sequential_components() const { return sequential_; }
 
   /// Re-evaluate the security mask over the whole history (after an ACL
   /// change) and rebuild affected objects' current values. Returns the
@@ -170,33 +196,6 @@ class VisibilityEngine {
   /// be replayed.
   void reapply_missing(const ObjectKey& key, const ObjectSnapshot& snap);
 
-  // --- drain-mode selection and equivalence checking -----------------------
-
-  /// Switch scheduler. Safe mid-run: the wake index (or the fixpoint scan
-  /// list) is rebuilt from the pending set and drained once.
-  void set_drain_mode(DrainMode mode);
-  [[nodiscard]] DrainMode drain_mode() const { return mode_; }
-
-  /// Default mode for newly constructed engines (benchmarks and the
-  /// equivalence sweep flip this before building a cluster).
-  static void set_default_drain_mode(DrainMode mode) { default_mode_ = mode; }
-  [[nodiscard]] static DrainMode default_drain_mode() { return default_mode_; }
-
-  /// When set, every engine constructed afterwards carries a *reference
-  /// shadow*: a second engine in kFixpointReference mode fed the exact
-  /// same event stream (sharing the TxnStore, applying into a throwaway
-  /// JournalStore). shadow_matches() then proves the indexed scheduler
-  /// computed the same applied set, masked set, and state vector.
-  static void set_shadow_default(bool on) { shadow_default_ = on; }
-
-  /// True when no shadow is attached, or the shadow agrees on applied set,
-  /// masked set, state vector, and pending count. On mismatch `why` (if
-  /// non-null) receives a description.
-  [[nodiscard]] bool shadow_matches(std::string* why = nullptr) const;
-  [[nodiscard]] const VisibilityEngine* shadow() const {
-    return shadow_.get();
-  }
-
   // --- durability (checkpoint export/import) -------------------------------
 
   /// Serialize the engine's durable state: state vector, seeded cut,
@@ -207,41 +206,29 @@ class VisibilityEngine {
   void encode_state(Encoder& enc) const;
 
   /// Restore from encode_state bytes. Configuration (security check,
-  /// hooks, key filter, drain mode, sequential components) is not part of
+  /// hooks, key filter, observer, sequential components) is not part of
   /// the payload and must be wired by the owner beforehand, exactly as at
-  /// construction. The attached reference shadow (if any) is restored to
-  /// the identical state so equivalence checking survives a crash-restart.
+  /// construction.
   void decode_state(Decoder& dec);
 
   /// Drop every piece of engine state (crash): applied/masked/pending
-  /// sets, log, state vector, wake index, shadow. Configuration wiring
-  /// survives.
+  /// sets, log, state vector, wake index. Configuration wiring survives.
   void reset();
 
  private:
-  VisibilityEngine(TxnStore& txns, JournalStore& store, std::size_t num_dcs,
-                   bool is_shadow);
-
-  /// Re-register every pending transaction with the active scheduler (the
-  /// set_drain_mode rebuild, shared with decode_state).
-  void rebuild_scheduler();
-  /// Copy another engine's durable state wholesale (shadow restore).
-  void adopt_state(const VisibilityEngine& src);
-
-  // Shared apply tail (both schedulers, and apply_local).
+  /// Apply a transaction outside the drain (read-my-writes or external
+  /// order), then drain whatever that unblocked.
+  void apply_unscheduled(const Transaction& txn);
   void apply_ops(const Transaction& txn, bool masked);
   /// Advance state_ with an applied transaction's commit knowledge —
-  /// contiguously per component when sequential_ is set. Fires state wakes
-  /// in indexed mode.
+  /// contiguously per component when sequential_ is set — and fire the
+  /// state wakes of every component that moved.
   void advance_state(const TxnMeta& meta);
   void mark_masked(const Dot& dot, const Transaction& txn);
+  /// Shared tail of resolve/resolve_full: the record's commit info changed.
+  void on_resolution(const Dot& dot);
 
-  // Fixpoint reference scheduler (original semantics, kept verbatim).
-  bool try_apply_fixpoint(const Dot& dot);
-  void drain_fixpoint();
-
-  // Indexed wake-list scheduler.
-  bool try_apply_indexed(const Dot& dot);
+  bool try_apply(const Dot& dot);
   void pump();
   void push_ready(const Dot& dot) { ready_.push_back(dot); }
   std::uint64_t new_guard_gen(const Dot& dot);
@@ -261,22 +248,10 @@ class VisibilityEngine {
   void index_coverage(const Dot& dot);
   void add_pending(const Dot& dot);
   void remove_pending(const Dot& dot);
-  /// Data-flow masked-dependency test via the per-origin/per-key buckets
-  /// (indexed scheduler); the reference scans masked_ wholesale.
+  /// Data-flow masked-dependency test via the per-origin/per-key buckets.
   [[nodiscard]] bool masked_dependency_indexed(const Transaction& txn,
                                                const VersionVector& eff) const;
   void rebuild_masked_index();
-
-  // Event plumbing shared by primary and shadow (no TxnStore mutation).
-  /// Mode-dispatched drain of this engine only (no shadow forwarding).
-  void drain_self();
-  void on_ingested(const Dot& dot, bool fresh);
-  void on_admitted(const Dot& dot);
-  void on_resolution(const Dot& dot);
-  bool apply_causal_engine(const Dot& dot);
-
-  inline static DrainMode default_mode_ = DrainMode::kIndexed;
-  inline static bool shadow_default_ = false;
 
   TxnStore& txns_;
   JournalStore& store_;
@@ -289,18 +264,14 @@ class VisibilityEngine {
   VisibilityLog log_;
   std::unordered_set<Dot> applied_;
   std::unordered_set<Dot> masked_;
-  /// Pending membership (both modes). The vector preserves arrival order
-  /// for the fixpoint reference's scan; the indexed scheduler leaves it
-  /// empty and works off the wake index.
   std::unordered_set<Dot> pending_set_;
-  std::vector<Dot> pending_;
   SecurityCheck security_check_;
   VisibleHook visible_hook_;
   KeyFilter key_filter_;
   ObjectKey policy_key_;
+  Observer* observer_ = nullptr;
 
-  // --- indexed-scheduler state ---------------------------------------------
-  DrainMode mode_;
+  // --- scheduler state ------------------------------------------------------
   /// Guard registrations are tagged with a generation; stale wake entries
   /// (the dot re-registered elsewhere, or applied) are skipped on fire.
   struct WakeRef {
@@ -333,11 +304,6 @@ class VisibilityEngine {
   /// or in a bucket of a key txn touches.
   std::unordered_map<NodeId, std::vector<Dot>> masked_by_origin_;
   std::unordered_map<ObjectKey, std::vector<Dot>> masked_by_key_;
-
-  // --- reference shadow ----------------------------------------------------
-  std::unique_ptr<JournalStore> shadow_store_;
-  std::unique_ptr<VisibilityEngine> shadow_;
-  std::string shadow_divergence_;
 };
 
 }  // namespace colony

@@ -65,14 +65,9 @@ class Crdt {
   [[nodiscard]] virtual CrdtType type() const = 0;
 
   /// Replay a downstream operation produced by a prepare on some replica.
-  ///
-  /// Threading contract (DESIGN.md section 10): an object is only ever
-  /// mutated by its single owning thread — the sim event thread, or the
-  /// apply-pool worker that owns the object's key. Implementations must
-  /// confine all mutable state to the instance; touching global mutable
-  /// state from apply() would break the pool's lock-free single-writer
-  /// invariant. (make_crdt is safe to call here: the factory registry is
-  /// only written during node construction, never while a pool is active.)
+  /// Implementations confine all mutable state to the instance: every
+  /// replica holds its own copy of an object, and apply() on one copy must
+  /// not affect another.
   virtual void apply(const Bytes& op) = 0;
 
   /// Full-state checkpoint, used for base versions (section 4.1) and for

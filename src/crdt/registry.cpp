@@ -29,11 +29,8 @@ const char* to_string(CrdtType t) {
 }
 
 namespace {
-// The only shared mutable state in the CRDT layer. Writes (registration)
-// happen exclusively during node construction on the control thread while
-// every apply pool is quiescent; apply-pool workers may read it through
-// make_crdt (nested map fields), so registering while a pool has pending
-// tasks would be a data race — don't.
+// The only shared mutable state in the CRDT layer: written when nodes
+// register their extension types at construction, read by make_crdt.
 std::map<CrdtType, std::unique_ptr<Crdt> (*)()>& extension_factories() {
   static std::map<CrdtType, std::unique_ptr<Crdt> (*)()> factories;
   return factories;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "security/sealed.hpp"
-#include "storage/apply_pool.hpp"
 #include "util/assert.hpp"
 
 namespace colony {
@@ -25,9 +24,6 @@ DcNode::DcNode(sim::Network& net, NodeId id, DcConfig config,
                 "K must be in [1, num_dcs]");
   COLONY_ASSERT(!shard_nodes_.empty(), "a DC needs at least one shard");
   for (std::uint32_t s = 0; s < shard_nodes_.size(); ++s) ring_.add_shard(s);
-  if (config_.apply_pool != nullptr) {
-    store_.set_apply_pool(config_.apply_pool);
-  }
 
   // A DC applies the full commit stream of every peer, so its state-vector
   // components advance contiguously (see VisibilityEngine).
@@ -985,9 +981,6 @@ bool DcNode::verify_recovery(std::string* why) const {
   storage::Wal disk(*config_.disk);
   DcConfig cfg = config_;
   cfg.disk = &disk;
-  // The replica applies inline: matching durable bytes double as a live
-  // pooled-vs-inline equivalence check on every probe.
-  cfg.apply_pool = nullptr;
   DcNode replica(net, id(), cfg, peers_, shard_nodes_);
   replica.recover(/*reconnect=*/false);
   Encoder mine;

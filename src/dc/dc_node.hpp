@@ -31,8 +31,6 @@
 
 namespace colony {
 
-class ApplyPool;
-
 struct DcConfig {
   DcId dc_id = 0;
   std::size_t num_dcs = 1;
@@ -63,12 +61,6 @@ struct DcConfig {
   /// handlers, where node state is consistent; skipped while no records
   /// accrued since the last one).
   SimTime checkpoint_interval = 400 * kMillisecond;
-  /// Worker pool for parallel CRDT apply (DESIGN.md section 10), owned by
-  /// the topology builder like `disk` and possibly shared with this DC's
-  /// shard servers (handlers are serialised by the sim scheduler, so the
-  /// pool's single-producer contract holds). nullptr = apply inline on the
-  /// event thread; either way the observable state is byte-identical.
-  ApplyPool* apply_pool = nullptr;
 };
 
 class DcNode final : public sim::RpcActor {
@@ -86,6 +78,8 @@ class DcNode final : public sim::RpcActor {
   [[nodiscard]] const JournalStore& store() const { return store_; }
   [[nodiscard]] const TxnStore& txns() const { return txns_; }
   [[nodiscard]] const VisibilityEngine& engine() const { return engine_; }
+  /// Mutable access, for attaching an engine observer.
+  VisibilityEngine& engine() { return engine_; }
   [[nodiscard]] DcId dc_id() const { return config_.dc_id; }
   [[nodiscard]] std::uint64_t committed() const { return commit_counter_; }
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
@@ -113,8 +107,7 @@ class DcNode final : public sim::RpcActor {
   /// of the WAL and compare durable projections byte-for-byte.
   [[nodiscard]] bool verify_recovery(std::string* why = nullptr) const;
 
-  /// The durable projection as bytes (the recovery invariant surface). The
-  /// pool-size equivalence sweep byte-compares this across worker counts.
+  /// The durable projection as bytes (the recovery invariant surface).
   [[nodiscard]] Bytes durable_bytes() const;
 
   [[nodiscard]] bool crashed() const { return crashed_; }

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "storage/apply_pool.hpp"
 #include "util/assert.hpp"
 
 namespace colony {
 
-ShardServer::ShardServer(sim::Network& net, NodeId id, ApplyPool* pool)
-    : RpcActor(net, id), pool_(pool) {}
+ShardServer::ShardServer(sim::Network& net, NodeId id) : RpcActor(net, id) {}
 
 proto::ShardReadResp ShardServer::read_value(const ObjectKey& key) const {
   proto::ShardReadResp resp;
@@ -21,40 +19,15 @@ proto::ShardReadResp ShardServer::read_value(const ObjectKey& key) const {
 }
 
 void ShardServer::apply_ops(const std::vector<OpRecord>& ops) {
-  if (pool_ == nullptr || ops.size() <= 1) {
-    for (const OpRecord& op : ops) {
-      auto it = data_.find(op.key);
-      if (it == data_.end()) {
-        it = data_.emplace(op.key,
-                           std::make_pair(op.type, make_crdt(op.type)))
-                 .first;
-      }
-      COLONY_ASSERT(it->second.first == op.type,
-                    "shard object type mismatch");
-      it->second.second->apply(op.payload);
-    }
-    return;
-  }
-  // Pooled path: object creation and type checks stay on the event thread
-  // (std::map nodes are address-stable, so worker tasks can reference the
-  // values while later insertions proceed); folds fan out to each key's
-  // owning worker and are joined before the handler returns, keeping the
-  // payloads (owned by the caller's decoded message) alive long enough.
   for (const OpRecord& op : ops) {
     auto it = data_.find(op.key);
     if (it == data_.end()) {
-      it = data_.emplace(op.key,
-                         std::make_pair(op.type, make_crdt(op.type)))
+      it = data_.emplace(op.key, std::make_pair(op.type, make_crdt(op.type)))
                .first;
     }
-    COLONY_ASSERT(it->second.first == op.type,
-                  "shard object type mismatch");
-    ApplyTask task;
-    task.value = it->second.second.get();
-    task.payload = &op.payload;
-    pool_->submit(pool_->owner(op.key), task);
+    COLONY_ASSERT(it->second.first == op.type, "shard object type mismatch");
+    it->second.second->apply(op.payload);
   }
-  pool_->barrier();
 }
 
 void ShardServer::serve_ready_reads() {

@@ -24,16 +24,9 @@
 
 namespace colony {
 
-class ApplyPool;
-
 class ShardServer final : public sim::RpcActor {
  public:
-  /// `pool` (optional) parallelises multi-op kShardApply batches across its
-  /// workers, partitioned by object key. It is typically the owning DC's
-  /// pool: the sim scheduler serialises handlers, so DC-side and shard-side
-  /// submissions never overlap and the single-producer contract holds.
-  explicit ShardServer(sim::Network& net, NodeId id,
-                       ApplyPool* pool = nullptr);
+  ShardServer(sim::Network& net, NodeId id);
 
   [[nodiscard]] Timestamp applied_seq() const { return applied_seq_; }
   [[nodiscard]] std::size_t object_count() const { return data_.size(); }
@@ -61,7 +54,6 @@ class ShardServer final : public sim::RpcActor {
   proto::ShardReadResp read_value(const ObjectKey& key) const;
 
   std::map<ObjectKey, std::pair<CrdtType, std::unique_ptr<Crdt>>> data_;
-  ApplyPool* pool_ = nullptr;
   std::map<std::uint64_t, std::vector<OpRecord>> prepared_;  // 2PC buffers
   std::vector<PendingRead> waiting_reads_;
   Timestamp applied_seq_ = 0;

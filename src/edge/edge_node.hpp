@@ -204,6 +204,8 @@ class EdgeNode final : public sim::RpcActor {
   }
   [[nodiscard]] std::size_t unacked_count() const { return unacked_.size(); }
   [[nodiscard]] const VisibilityEngine& engine() const { return engine_; }
+  /// Mutable access, for attaching an engine observer.
+  VisibilityEngine& engine() { return engine_; }
   [[nodiscard]] const JournalStore& store() const { return store_; }
   [[nodiscard]] const TxnStore& txns() const { return txns_; }
   [[nodiscard]] NodeId connected_dc() const { return config_.dc; }

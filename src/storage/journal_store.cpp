@@ -2,27 +2,10 @@
 
 #include <algorithm>
 
-#include "storage/apply_pool.hpp"
 #include "util/assert.hpp"
 #include "util/codec.hpp"
 
 namespace colony {
-
-void JournalStore::set_apply_pool(ApplyPool* pool) {
-  flush_applies();
-  pool_ = pool;
-}
-
-void JournalStore::flush_applies() const {
-  if (pending_applies_ == 0) return;
-  pool_->barrier();
-  pending_applies_ = 0;
-  pending_keys_.clear();
-}
-
-void JournalStore::flush_if_touched(const ObjectKey& key) const {
-  if (pending_applies_ != 0 && pending_keys_.contains(key)) flush_applies();
-}
 
 bool JournalStore::ensure(const ObjectKey& key, CrdtType type) {
   auto it = objects_.find(key);
@@ -62,34 +45,17 @@ void JournalStore::apply(const ObjectKey& key, CrdtType type, const Dot& dot,
   COLONY_ASSERT(type_ok, "object updated with mismatched CRDT type");
   ObjectState* s = find(key);
   if (s->base_dot_set.contains(dot)) return;  // already reflected in base
-  if (pool_ == nullptr) {
-    s->journal.push_back(JournalEntry{dot, payload});
-    if (!masked) s->current->apply(payload);
-    return;
-  }
-  // Hand the append + fold to the key's owning worker. The gate decisions
-  // above (existence, type, baked-dot dedup) stay on the control thread;
-  // per-key submission order fixes the journal and fold order, so the
-  // result is byte-identical to the inline path at any pool size.
-  ApplyTask task;
-  task.journal = &s->journal;
-  task.value = masked ? nullptr : s->current.get();
-  task.payload = &payload;
-  task.dot = dot;
-  pool_->submit(pool_->owner(key), task);
-  ++pending_applies_;
-  pending_keys_.insert(key);
+  s->journal.push_back(JournalEntry{dot, payload});
+  if (!masked) s->current->apply(payload);
 }
 
 const Crdt* JournalStore::current(const ObjectKey& key) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   return s == nullptr ? nullptr : s->current.get();
 }
 
 std::unique_ptr<Crdt> JournalStore::materialize(
     const ObjectKey& key, const DotPredicate& visible) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   if (s == nullptr) return nullptr;
   auto value = s->base->clone();
@@ -101,7 +67,6 @@ std::unique_ptr<Crdt> JournalStore::materialize(
 
 void JournalStore::rebuild_current(const ObjectKey& key,
                                    const DotPredicate& visible) {
-  flush_if_touched(key);
   ObjectState* s = find(key);
   if (s == nullptr) return;
   s->current = materialize(key, visible);
@@ -109,7 +74,6 @@ void JournalStore::rebuild_current(const ObjectKey& key,
 
 void JournalStore::advance_base(const ObjectKey& key,
                                 const DotPredicate& visible) {
-  flush_if_touched(key);
   ObjectState* s = find(key);
   if (s == nullptr) return;
   std::vector<JournalEntry> kept;
@@ -127,7 +91,6 @@ void JournalStore::advance_base(const ObjectKey& key,
 
 std::optional<ObjectSnapshot> JournalStore::export_snapshot(
     const ObjectKey& key) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   if (s == nullptr) return std::nullopt;
   ObjectSnapshot snap;
@@ -143,7 +106,6 @@ std::optional<ObjectSnapshot> JournalStore::export_snapshot(
 
 std::optional<ObjectSnapshot> JournalStore::export_at(
     const ObjectKey& key, const DotPredicate& visible) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   if (s == nullptr) return std::nullopt;
   ObjectSnapshot snap;
@@ -158,9 +120,6 @@ std::optional<ObjectSnapshot> JournalStore::export_at(
 }
 
 void JournalStore::import_snapshot(const ObjectSnapshot& snap) {
-  // Replacing the object destroys the state a pending worker task may
-  // reference; join first.
-  flush_if_touched(snap.key);
   ObjectState state;
   state.type = snap.type;
   state.base = make_crdt(snap.type);
@@ -172,7 +131,6 @@ void JournalStore::import_snapshot(const ObjectSnapshot& snap) {
 }
 
 std::vector<Dot> JournalStore::journalled_dots(const ObjectKey& key) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   std::vector<Dot> out;
   if (s == nullptr) return out;
@@ -182,7 +140,6 @@ std::vector<Dot> JournalStore::journalled_dots(const ObjectKey& key) const {
 }
 
 std::vector<Dot> JournalStore::applied_dots(const ObjectKey& key) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   std::vector<Dot> out;
   if (s == nullptr) return out;
@@ -200,23 +157,19 @@ std::vector<ObjectKey> JournalStore::keys() const {
 }
 
 std::size_t JournalStore::journal_length(const ObjectKey& key) const {
-  flush_if_touched(key);
   const ObjectState* s = find(key);
   return s == nullptr ? 0 : s->journal.size();
 }
 
 void JournalStore::erase(const ObjectKey& key) {
-  flush_if_touched(key);
   objects_.erase(key);
 }
 
 void JournalStore::clear() {
-  flush_applies();
   objects_.clear();
 }
 
 void JournalStore::encode(Encoder& enc) const {
-  flush_applies();
   COLONY_ASSERT(objects_.size() <= UINT32_MAX, "store exceeds u32 prefix");
   enc.u32(static_cast<std::uint32_t>(objects_.size()));
   for (const auto& [key, s] : objects_) {  // std::map: key order
@@ -235,7 +188,6 @@ void JournalStore::encode(Encoder& enc) const {
 }
 
 void JournalStore::decode(Decoder& dec) {
-  flush_applies();
   objects_.clear();
   const std::uint32_t count = dec.u32();
   for (std::uint32_t i = 0; i < count && dec.ok(); ++i) {

@@ -25,8 +25,6 @@
 
 namespace colony {
 
-class ApplyPool;
-
 /// One journalled update: which transaction produced it and the op payload.
 struct JournalEntry {
   Dot dot;
@@ -60,30 +58,8 @@ class JournalStore {
   /// paper section 5.3) and can surface later via rebuild_current.
   /// Operations whose dot is already baked into an imported base version
   /// are dropped entirely (they are reflected in the state already).
-  ///
-  /// With an apply pool attached the journal append and the fold are handed
-  /// to the key's owning worker instead of executing inline; `payload` must
-  /// then stay alive until the next flush_applies() (transaction records
-  /// are stable for the duration of the enqueueing event, which always ends
-  /// with a flush — DESIGN.md section 10).
   void apply(const ObjectKey& key, CrdtType type, const Dot& dot,
              const Bytes& payload, bool masked = false);
-
-  /// Attach a worker pool: subsequent apply() calls are partitioned across
-  /// its workers by object key. nullptr detaches (joining any pending
-  /// applies first). The pool may be shared with other stores/shards — the
-  /// sim scheduler serialises handlers, so only one submitter is active at
-  /// a time.
-  void set_apply_pool(ApplyPool* pool);
-  [[nodiscard]] ApplyPool* apply_pool() const { return pool_; }
-
-  /// Join every handed-off apply. Every read/maintenance API below flushes
-  /// defensively (whole-store ops always; per-key ops only when that key
-  /// has pending work, so hot paths like the per-transaction ACL read do
-  /// not destroy batching), making correctness independent of callers
-  /// remembering to flush. Safe and cheap with nothing pending.
-  void flush_applies() const;
-  [[nodiscard]] bool applies_pending() const { return pending_applies_ != 0; }
 
   /// The value at this node's visibility frontier (respecting the masks
   /// given to apply/rebuild_current); nullptr if the object is unknown.
@@ -151,19 +127,9 @@ class JournalStore {
   [[nodiscard]] const ObjectState* find(const ObjectKey& key) const;
   ObjectState* find(const ObjectKey& key);
 
-  /// Join pending applies iff `key` is among the touched objects.
-  void flush_if_touched(const ObjectKey& key) const;
-
-  /// Objects live in a std::map so ObjectState addresses are stable: a
-  /// worker may hold &journal / current.get() across control-thread
-  /// ensure() insertions for other keys.
+  /// An ordered map: encode() writes objects in key order, so identical
+  /// stores checkpoint to identical bytes.
   std::map<ObjectKey, ObjectState> objects_;
-
-  // Deferred-apply bookkeeping (mutable: flushing from const readers is
-  // logically const — it only makes already-submitted effects visible).
-  ApplyPool* pool_ = nullptr;
-  mutable std::uint64_t pending_applies_ = 0;
-  mutable std::unordered_set<ObjectKey> pending_keys_;
 };
 
 }  // namespace colony

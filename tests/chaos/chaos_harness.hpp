@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "colony/session.hpp"
 #include "crdt/counter.hpp"
 #include "sim/chaos.hpp"
+#include "support/reference_drain.hpp"
 #include "util/rng.hpp"
 
 namespace colony::chaos_test {
@@ -33,10 +35,9 @@ struct HarnessConfig {
   std::size_t k_stability = 2;
   std::size_t num_edges = 4;
   std::size_t num_counters = 2;  // independent shared PN-counters
-  /// Apply worker threads per DC (0/1 = inline). The converged state must
-  /// be byte-identical at any setting — the pool equivalence sweep runs
-  /// the same seed at several sizes and compares.
-  std::size_t apply_workers = 0;
+  /// Attach a fixpoint reference drain to every DC and edge engine before
+  /// the settle period (dc_reference / edge_reference read them back).
+  bool reference_drain = false;
 
   // Fault schedule (chaos.seed is overwritten with `seed`).
   sim::ChaosConfig chaos;
@@ -69,7 +70,6 @@ class Harness {
     cluster_cfg.num_dcs = cfg_.num_dcs;
     cluster_cfg.k_stability = cfg_.k_stability;
     cluster_cfg.seed = cfg_.seed;
-    cluster_cfg.apply_workers_per_dc = cfg_.apply_workers;
     cluster_ = std::make_unique<Cluster>(cluster_cfg);
 
     pair_keys_ = {ObjectKey{"chaos", "pair_a"}, ObjectKey{"chaos", "pair_b"}};
@@ -86,6 +86,16 @@ class Harness {
           static_cast<UserId>(100 + i));
       sessions_.push_back(std::make_unique<Session>(edge));
       sessions_.back()->subscribe(all_keys, [](Result<void>) {});
+    }
+    if (cfg_.reference_drain) {
+      for (DcId d = 0; d < cluster_->num_dcs(); ++d) {
+        dc_refs_.push_back(
+            std::make_unique<ReferenceDrain>(cluster_->dc(d).engine()));
+      }
+      for (std::size_t i = 0; i < cluster_->num_edges(); ++i) {
+        edge_refs_.push_back(
+            std::make_unique<ReferenceDrain>(cluster_->edge(i).engine()));
+      }
     }
     cluster_->run_for(cfg_.settle);
   }
@@ -162,6 +172,12 @@ class Harness {
   }
 
   [[nodiscard]] const Cluster& cluster() const { return *cluster_; }
+  [[nodiscard]] const ReferenceDrain& dc_reference(DcId d) const {
+    return *dc_refs_.at(d);
+  }
+  [[nodiscard]] const ReferenceDrain& edge_reference(std::size_t i) const {
+    return *edge_refs_.at(i);
+  }
 
  private:
   // --- workload ------------------------------------------------------------
@@ -292,6 +308,9 @@ class Harness {
   HarnessConfig cfg_;
   Rng wl_rng_;  // workload randomness, independent of the schedule stream
   std::unique_ptr<Cluster> cluster_;
+  // Declared after cluster_, so they detach before the engines go away.
+  std::vector<std::unique_ptr<ReferenceDrain>> dc_refs_;
+  std::vector<std::unique_ptr<ReferenceDrain>> edge_refs_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<ObjectKey> pair_keys_;
   std::vector<ObjectKey> counter_keys_;

@@ -1,9 +1,9 @@
 // Chaos-level drain equivalence: run the full fault-schedule sweep with a
-// kFixpointReference shadow attached to EVERY visibility engine in the
-// cluster (DC replicas and edge caches), and require the indexed scheduler
+// fixpoint reference drain (tests/support/reference_drain.hpp) attached to
+// EVERY DC and edge visibility engine, and require the indexed scheduler
 // to agree with the reference on applied set, masked set, state vector,
 // and pending set at the end of each run — under partitions, duplication,
-// reordering, migration, and reconnection backlogs.
+// reordering, migration, crash-restart, and reconnection backlogs.
 //
 // This complements tests/test_drain_equivalence.cpp (pure-engine seeded
 // histories, per-event assertions): here the event stream is whatever the
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "chaos_harness.hpp"
-#include "core/visibility.hpp"
 
 namespace colony::chaos_test {
 namespace {
@@ -40,19 +39,13 @@ std::vector<std::uint64_t> shadow_seeds() {
   return seeds;
 }
 
-/// RAII: every engine constructed inside carries a reference shadow.
-struct ShadowScope {
-  ShadowScope() { VisibilityEngine::set_shadow_default(true); }
-  ~ShadowScope() { VisibilityEngine::set_shadow_default(false); }
-};
-
 class DrainShadowSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DrainShadowSweep, IndexedDrainMatchesReferenceUnderChaos) {
   HarnessConfig cfg;
   cfg.seed = GetParam();
+  cfg.reference_drain = true;
 
-  ShadowScope shadows;
   Harness harness(cfg);
   const RunResult result = harness.run();
   EXPECT_TRUE(result.ok()) << "seed " << cfg.seed
@@ -62,12 +55,12 @@ TEST_P(DrainShadowSweep, IndexedDrainMatchesReferenceUnderChaos) {
   const Cluster& cluster = harness.cluster();
   std::string why;
   for (DcId d = 0; d < cluster.num_dcs(); ++d) {
-    EXPECT_TRUE(cluster.dc(d).engine().shadow_matches(&why))
+    EXPECT_TRUE(harness.dc_reference(d).matches(&why))
         << "seed " << cfg.seed << " dc" << d
         << " diverged from reference drain: " << why;
   }
   for (std::size_t i = 0; i < cluster.num_edges(); ++i) {
-    EXPECT_TRUE(cluster.edge(i).engine().shadow_matches(&why))
+    EXPECT_TRUE(harness.edge_reference(i).matches(&why))
         << "seed " << cfg.seed << " edge" << i
         << " diverged from reference drain: " << why;
   }

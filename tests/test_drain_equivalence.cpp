@@ -2,16 +2,16 @@
 // exactly the visibility relation of the fixpoint reference (DESIGN.md §8).
 //
 // Two layers of evidence:
-//   * A randomized sweep (100+ seeds): each seed drives one primary engine
-//     in kIndexed mode carrying a kFixpointReference shadow fed the same
-//     event stream — shuffled multi-DC ingest, out-of-order resolutions,
-//     pending deps, read-my-writes apply_local, ACL mask flips — and
-//     asserts shadow_matches() (identical applied set, masked set, state
-//     vector, pending set) throughout and at quiescence.
+//   * A randomized sweep (100+ seeds): each seed drives one engine with a
+//     ReferenceDrain (tests/support) observing the same event stream —
+//     shuffled multi-DC ingest, out-of-order resolutions, pending deps,
+//     read-my-writes apply_local, ACL mask flips — and asserts matches()
+//     (identical applied set, masked set, state vector, pending set)
+//     throughout and at quiescence.
 //   * Deterministic wake-guard unit tests, one per guard class: own commit
 //     symbolic, dep unknown (admit()), state-vector threshold, within-batch
-//     causal order, masked-index rebuild, and mid-run set_drain_mode
-//     switches.
+//     causal order, masked-index rebuild, a restore mid-backlog, and a
+//     reference attached mid-backlog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +20,11 @@
 
 #include "core/visibility.hpp"
 #include "crdt/counter.hpp"
+#include "support/reference_drain.hpp"
 #include "util/rng.hpp"
 
 namespace colony {
 namespace {
-
-using DrainMode = VisibilityEngine::DrainMode;
 
 Transaction chain_txn(DcId dc, Timestamp ts, VersionVector snapshot,
                       const std::string& key, std::int64_t delta = 1) {
@@ -39,30 +38,23 @@ Transaction chain_txn(DcId dc, Timestamp ts, VersionVector snapshot,
   return txn;
 }
 
-/// RAII: enable the reference shadow for engines constructed in scope.
-struct ShadowScope {
-  ShadowScope() { VisibilityEngine::set_shadow_default(true); }
-  ~ShadowScope() { VisibilityEngine::set_shadow_default(false); }
-};
-
 // ---------------------------------------------------------------------------
 // Randomized sweep.
 // ---------------------------------------------------------------------------
 
 /// One seeded run: generate per-DC causal chains with cross-DC snapshot
 /// edges, symbolic commits, pending deps and transitive masking; deliver in
-/// a shuffled order with resolutions interleaved; verify the shadow agrees
+/// a shuffled order with resolutions interleaved; verify the reference agrees
 /// after every step and that everything drains at the end.
 void run_equivalence_seed(std::uint64_t seed) {
   constexpr std::size_t kDcs = 3;
   constexpr Timestamp kChainLen = 24;
 
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 1);
-  ShadowScope shadow_on;
   TxnStore txns;
   JournalStore store;
   VisibilityEngine engine(txns, store, kDcs);
-  ASSERT_NE(engine.shadow(), nullptr);
+  ReferenceDrain reference(engine);
 
   // Every 5th counter value is vetoed; key overlap and same-origin edges
   // then drag causal dependants into the mask transitively — on both sides.
@@ -156,20 +148,20 @@ void run_equivalence_seed(std::uint64_t seed) {
       engine.resolve(ev.dot, ev.dc, ev.ts);
     }
     ++step;
-    ASSERT_TRUE(engine.shadow_matches(&why))
+    ASSERT_TRUE(reference.matches(&why))
         << "seed " << seed << " diverged at step " << step << ": " << why;
   }
 
   // Mid-run ACL flip: unmask everything, then re-mask a different slice.
   engine.set_security_check(nullptr);
   engine.recompute_masks();
-  ASSERT_TRUE(engine.shadow_matches(&why))
+  ASSERT_TRUE(reference.matches(&why))
       << "seed " << seed << " diverged after unmask: " << why;
   engine.set_security_check([](const Transaction& txn) {
     return txn.meta.dot.counter % 7 != 0;
   });
   engine.recompute_masks();
-  ASSERT_TRUE(engine.shadow_matches(&why))
+  ASSERT_TRUE(reference.matches(&why))
       << "seed " << seed << " diverged after re-mask: " << why;
 
   // Cleanup: replay every resolution (some were shuffled ahead of their
@@ -178,7 +170,7 @@ void run_equivalence_seed(std::uint64_t seed) {
     engine.resolve(res.dot, res.dc, res.ts);
   }
   engine.drain();
-  ASSERT_TRUE(engine.shadow_matches(&why))
+  ASSERT_TRUE(reference.matches(&why))
       << "seed " << seed << " diverged at quiescence: " << why;
   EXPECT_EQ(engine.pending_count(), 0u) << "seed " << seed;
   EXPECT_EQ(engine.applied_set().size(), kDcs * kChainLen) << "seed " << seed;
@@ -321,10 +313,10 @@ TEST_F(WakeGuardTest, BatchOrderDefersBehindCoveredPendingPredecessor) {
 }
 
 TEST_F(WakeGuardTest, MaskFlipRebuildsIndexAndValues) {
-  ShadowScope shadow_on;
   TxnStore t2;
   JournalStore s2;
   VisibilityEngine masked_engine(t2, s2, 2);
+  ReferenceDrain reference(masked_engine);
   masked_engine.set_security_check(
       [](const Transaction& txn) { return txn.meta.origin != 100; });
 
@@ -338,7 +330,7 @@ TEST_F(WakeGuardTest, MaskFlipRebuildsIndexAndValues) {
   EXPECT_EQ(c->value(), 0);
 
   std::string why;
-  EXPECT_TRUE(masked_engine.shadow_matches(&why)) << why;
+  EXPECT_TRUE(reference.matches(&why)) << why;
 
   // ACL change: unmask everything. The per-origin/per-key buckets must be
   // rebuilt (not just the masked set) or later transitive checks would
@@ -348,37 +340,71 @@ TEST_F(WakeGuardTest, MaskFlipRebuildsIndexAndValues) {
   EXPECT_FALSE(masked_engine.is_masked(Dot{100, 1}));
   EXPECT_EQ(dynamic_cast<const PnCounter*>(s2.current({"b", "x"}))->value(),
             15);
-  EXPECT_TRUE(masked_engine.shadow_matches(&why)) << why;
+  EXPECT_TRUE(reference.matches(&why)) << why;
 
   // New txn on the same key must NOT inherit a mask from the old buckets.
   masked_engine.ingest(chain_txn(0, 2, VersionVector{1, 1}, "x", 1));
   EXPECT_FALSE(masked_engine.is_masked(Dot{100, 2}));
   EXPECT_EQ(dynamic_cast<const PnCounter*>(s2.current({"b", "x"}))->value(),
             16);
-  EXPECT_TRUE(masked_engine.shadow_matches(&why)) << why;
+  EXPECT_TRUE(reference.matches(&why)) << why;
+}
+
+TEST_F(WakeGuardTest, RestoreMidBacklogRebuildsAndDrains) {
+  // Park a blocked backlog, round-trip the engine through encode_state /
+  // decode_state (the crash-restart path: the wake index is rebuilt from
+  // the pending set), then unblock it. The reference re-syncs from the
+  // restored engine and must agree before and after the drain.
+  ReferenceDrain reference(engine);
+  engine.ingest(chain_txn(0, 3, VersionVector{2, 0}, "x"));
+  engine.ingest(chain_txn(0, 2, VersionVector{1, 0}, "x"));
+  engine.ingest(chain_txn(1, 2, VersionVector{0, 1}, "y"));
+  EXPECT_EQ(engine.pending_count(), 3u);
+
+  Encoder enc;
+  engine.encode_state(enc);
+  Decoder dec(enc.data());
+  engine.decode_state(dec);
+  ASSERT_TRUE(dec.ok() && dec.done());
+  EXPECT_EQ(engine.pending_count(), 3u);  // rebuild alone unblocks nothing
+  std::string why;
+  EXPECT_TRUE(reference.matches(&why)) << why;
+
+  engine.ingest(chain_txn(0, 1, VersionVector{0, 0}, "x"));
+  engine.ingest(chain_txn(1, 1, VersionVector{0, 0}, "y"));
+  EXPECT_EQ(engine.pending_count(), 0u);
+  EXPECT_EQ(engine.state_vector(), (VersionVector{3, 2}));
+  EXPECT_TRUE(reference.matches(&why)) << why;
 }
 
 TEST_F(WakeGuardTest, SetDrainModeMidRunRebuildsAndDrains) {
-  // Park a blocked backlog in indexed mode, switch to the reference (wake
-  // index dropped, arrival list rebuilt), unblock there, then switch back
-  // with a fresh blocked txn outstanding.
+  // Attach the reference mid-run, with a blocked backlog parked (it
+  // rebuilds its arrival list from the pending set), unblock there, then
+  // detach it and attach a fresh one with a new blocked txn outstanding.
   engine.ingest(chain_txn(0, 3, VersionVector{2, 0}, "x"));
   engine.ingest(chain_txn(0, 2, VersionVector{1, 0}, "x"));
   EXPECT_EQ(engine.pending_count(), 2u);
 
-  engine.set_drain_mode(DrainMode::kFixpointReference);
-  EXPECT_EQ(engine.pending_count(), 2u);  // rebuild alone unblocks nothing
-  engine.ingest(chain_txn(0, 1, VersionVector{0, 0}, "x"));
-  EXPECT_EQ(engine.pending_count(), 0u);
-  EXPECT_EQ(engine.state_vector(), (VersionVector{3, 0}));
+  std::string why;
+  {
+    ReferenceDrain reference(engine);
+    EXPECT_EQ(engine.pending_count(), 2u);  // attaching unblocks nothing
+    EXPECT_TRUE(reference.matches(&why)) << why;
+    engine.ingest(chain_txn(0, 1, VersionVector{0, 0}, "x"));
+    EXPECT_EQ(engine.pending_count(), 0u);
+    EXPECT_EQ(engine.state_vector(), (VersionVector{3, 0}));
+    EXPECT_TRUE(reference.matches(&why)) << why;
+    engine.ingest(chain_txn(1, 2, VersionVector{0, 1}, "y"));
+    EXPECT_EQ(engine.pending_count(), 1u);
+  }
 
-  engine.ingest(chain_txn(1, 2, VersionVector{0, 1}, "y"));
+  ReferenceDrain reference(engine);
   EXPECT_EQ(engine.pending_count(), 1u);
-  engine.set_drain_mode(DrainMode::kIndexed);
-  EXPECT_EQ(engine.pending_count(), 1u);
+  EXPECT_TRUE(reference.matches(&why)) << why;
   engine.ingest(chain_txn(1, 1, VersionVector{0, 0}, "y"));
   EXPECT_EQ(engine.pending_count(), 0u);
   EXPECT_EQ(engine.state_vector(), (VersionVector{3, 2}));
+  EXPECT_TRUE(reference.matches(&why)) << why;
 }
 
 TEST_F(WakeGuardTest, DuplicateIngestWithNewCommitSlotsWakesWaiters) {
