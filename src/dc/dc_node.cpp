@@ -161,7 +161,7 @@ void DcNode::gossip_tick() {
     }
     session.acked_seq_last_tick = session.acked_seq;
   }
-  push_sessions();
+  push_sessions(/*announce=*/true);
 
   if (++gossip_count_ % config_.base_advance_every == 0) {
     // Baking bases folds K-stable journal prefixes into base versions —
@@ -215,16 +215,16 @@ void DcNode::handle_gossip(NodeId from, const proto::DcGossip& msg) {
 // Session pushes.
 // ---------------------------------------------------------------------------
 
-void DcNode::push_sessions() {
+void DcNode::push_sessions(bool announce) {
   // No pushes during WAL replay: the sequence stream must not advance past
   // what the live run handed to the network (sessions resync on restart).
   if (recovering_) return;
   for (auto& [node, session] : sessions_) {
-    push_session(node, session);
+    push_session(node, session, announce);
   }
 }
 
-void DcNode::push_session(NodeId node, EdgeSession& session) {
+void DcNode::push_session(NodeId node, EdgeSession& session, bool announce) {
   // A down uplink — or a crashed endpoint — would silently swallow pushes
   // while the cursor advances, leaving the session permanently stale; pause
   // instead (TCP-like: the sender knows the connection is gone) and resume
@@ -243,7 +243,9 @@ void DcNode::push_session(NodeId node, EdgeSession& session) {
   }
   const auto& log = engine_.log().entries();
   // Push the K-stable prefix of the visibility log that intersects the
-  // session's interest set, in log (causal) order.
+  // session's interest set, in log (causal) order. The round's last push is
+  // held back so the round's cut can ride on it.
+  std::optional<proto::PushTxn> last;
   while (session.cursor < log.size()) {
     const Dot& dot = log[session.cursor];
     if (!txns_.visible_at(dot, k_cut_)) break;  // not K-stable yet
@@ -257,10 +259,9 @@ void DcNode::push_session(NodeId node, EdgeSession& session) {
                                op.key == security::acl_object_key();
                       });
       if (interesting) {
-        proto::PushTxn push{*txn};
-        push.session_seq = ++session.seq;
+        if (last) tell(node, proto::kPushTxn, std::move(*last));
+        last = proto::PushTxn{*txn, ++session.seq, std::nullopt};
         session.outstanding.emplace_back(session.seq, session.cursor + 1);
-        tell(node, proto::kPushTxn, std::move(push));
         // Pushes consume DC CPU; they delay later request processing.
         busy_until_ = std::max(busy_until_, net_.now()) +
                       config_.push_service_time;
@@ -268,10 +269,17 @@ void DcNode::push_session(NodeId node, EdgeSession& session) {
     }
     ++session.cursor;
   }
-  const VersionVector cut = session_cut(session);
-  if (!(cut == session.last_cut_sent)) {
-    session.last_cut_sent = cut;
-    tell(node, proto::kStateUpdate, proto::StateUpdate{cut, session.seq});
+  // The cut goes out on the round's last push, or alone on the gossip tick.
+  if (!last && !announce) return;
+  VersionVector cut = session_cut(session);
+  const bool moved = !(cut == session.last_cut_sent);
+  if (moved) session.last_cut_sent = cut;
+  if (last) {
+    if (moved) last->cut = std::move(cut);
+    tell(node, proto::kPushTxn, std::move(*last));
+  } else if (moved) {
+    tell(node, proto::kStateUpdate,
+         proto::StateUpdate{std::move(cut), session.seq});
   }
 }
 
@@ -307,9 +315,9 @@ void DcNode::resync_session(EdgeSession& session) {
   session.seq = session.acked_seq;
   session.outstanding.clear();
   session.stall_ticks = 0;
-  // Clear the cut memo so the next push round re-announces the K-stable
-  // cut: a kStateUpdate lost with the connection would otherwise only be
-  // repaired by the *next* cut advance, which may never come.
+  // Clear the cut memo so the cut is re-announced on the next push, or
+  // alone on the next tick: a cut lost with the connection would otherwise
+  // only be repaired by the *next* cut advance, which may never come.
   session.last_cut_sent = VersionVector{};
 }
 

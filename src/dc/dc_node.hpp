@@ -159,15 +159,19 @@ class DcNode final : public sim::RpcActor {
   void on_txn_visible(const Transaction& txn);
   void fan_out_to_shards(const Transaction& txn);
   void recompute_k_cut();
-  void push_sessions();
-  void push_session(NodeId node, EdgeSession& session);
+  /// Push each session's new K-stable entries. A moved cut rides the
+  /// round's last push; without one it goes out alone only if `announce`
+  /// (the gossip tick).
+  void push_sessions(bool announce = false);
+  void push_session(NodeId node, EdgeSession& session, bool announce);
   /// The cut this session may be told it covers: k_cut_ capped so that no
   /// log entry at or beyond the session cursor is inside it.
   [[nodiscard]] VersionVector session_cut(const EdgeSession& session) const;
   /// Rewind a session to its last acknowledged log position and force a
-  /// fresh kStateUpdate: called when a broken connection (or a detected ack
-  /// stall) may have dropped in-flight pushes. Replayed transactions are
-  /// filtered by dot at the subscriber, so over-sending is safe.
+  /// fresh cut announcement (on the next push, or alone on the next tick):
+  /// called when a broken connection (or a detected ack stall) may have
+  /// dropped in-flight pushes. Replayed transactions are filtered by dot at
+  /// the subscriber, so over-sending is safe.
   void resync_session(EdgeSession& session);
   void gossip_tick();
   [[nodiscard]] JournalStore::DotPredicate k_stable_predicate() const;

@@ -30,7 +30,7 @@ enum Kind : std::uint32_t {
   kSubscribe = 11,    // RPC  SubscribeReq  -> SubscribeResp
   kFetchObject = 12,  // RPC  FetchReq      -> FetchResp
   kPushTxn = 13,      // 1way PushTxn (DC/parent -> edge)
-  kStateUpdate = 14,  // 1way StateUpdate (k-stable cut advance)
+  kStateUpdate = 14,  // 1way StateUpdate (bare k-stable cut advance)
   kMigrate = 15,      // RPC  MigrateReq    -> MigrateResp
   kDcExecute = 16,    // RPC  DcExecuteReq  -> DcExecuteResp (cloud mode)
   kOpenSession = 17,  // RPC  OpenSessionReq -> OpenSessionResp (keys)
@@ -147,10 +147,18 @@ struct PushTxn {
   /// subscriber acks its contiguous receive prefix so the DC can detect
   /// pushes lost to a crash or connection break and rewind (Go-Back-N).
   std::uint64_t session_seq = 0;
+  /// The K-stable cut of the push round this push ends, when it moved: a
+  /// round's cut rides its last push, and this push's session_seq is its
+  /// watermark (see StateUpdate). Seeded right after the transaction.
+  std::optional<VersionVector> cut;
 
   bool operator==(const PushTxn&) const = default;
-  auto fields() { return std::tie(txn, session_seq); }
+  auto fields() { return std::tie(txn, session_seq, cut); }
 };
+/// A bare cut announcement, for cuts that no push carries: a DC sends one
+/// on its gossip tick when a session's cut moved without an interesting
+/// push, and a peer-group parent sends one to each member its relayed
+/// push skipped.
 struct StateUpdate {
   VersionVector cut;
   /// The sender's session_seq at the time the cut was computed: the cut

@@ -422,7 +422,7 @@ void EdgeNode::cloud_execute(std::vector<ObjectKey> reads,
                              std::vector<OpRecord> updates, CloudCb cb) {
   call(config_.dc, proto::kDcExecute,
        proto::DcExecuteReq{std::move(reads), std::move(updates),
-                           config_.user},
+                           config_.user, VersionVector{}},
        [cb = std::move(cb)](Result<Bytes> r) {
          if (!r.ok()) {
            cb(r.error());
@@ -778,9 +778,16 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
         rec.u64(from);
         rec.u64(msg.session_seq);
         msg.txn.encode(rec);
+        codec::write(rec, msg.cut);
         log_record(kEdgePush, rec);
       }
       engine_.ingest(msg.txn);
+      // A delivered push is inside the receive prefix, so the cut it
+      // carries (watermark: its own session_seq) is covered.
+      if (msg.cut) {
+        engine_.seed_state(*msg.cut);
+        engine_.drain();
+      }
       drain_group_queue();
       break;
     }
@@ -921,11 +928,16 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
       const NodeId from = dec.u64();
       const std::uint64_t seq = dec.u64();
       const Transaction txn = Transaction::decode(dec);
+      const auto cut = codec::read<std::optional<VersionVector>>(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgePush payload");
       // Re-drive the receive state machine (only delivered pushes were
       // logged, so the transitions replay verbatim); no ack is sent.
       push_recv_[from].on_push(seq);
       engine_.ingest(txn);
+      if (cut) {
+        engine_.seed_state(*cut);
+        engine_.drain();
+      }
       break;
     }
     case kEdgeSeed: {

@@ -273,8 +273,8 @@ class EdgeNode final : public sim::RpcActor {
   enum EdgeWalRecord : std::uint32_t {
     kEdgeCommit = 1,      // locally committed Transaction
     kEdgeAck = 2,         // DC resolution of a local commit
-    kEdgePush = 3,        // session push delivered by the channel
-    kEdgeSeed = 4,        // kStateUpdate cut seeded
+    kEdgePush = 3,        // session push delivered, with the cut it carried
+    kEdgeSeed = 4,        // bare kStateUpdate cut seeded (tick or fan-out)
     kEdgeSubscribe = 5,   // subscription reply imported
     kEdgeFetch = 6,       // fetched object imported (or created empty)
     kEdgeDot = 7,         // dot_counter_ after a fresh_dot()

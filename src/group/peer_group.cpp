@@ -31,7 +31,7 @@ PeerGroupParent::PeerGroupParent(sim::Network& net, NodeId id,
   rebuild_epaxos();
   net.scheduler().after(config_.heartbeat_interval,
                         [this] { heartbeat_tick(); });
-  // Open the DC session eagerly (empty interest): the DC then streams
+  // Open the DC session eagerly (empty interest): the DC then announces
   // K-stable cut advances, so the parent's state vector tracks the world
   // and joiners' causal-compatibility checks (section 5.2) pass without a
   // first cache miss having to create the session as a side effect.
@@ -282,9 +282,7 @@ void PeerGroupParent::migrate_to_dc(NodeId new_dc, DoneCb done) {
                       "new DC lacks the group's causal dependencies"});
            return;
          }
-         engine_.seed_state(resp.cut);
-         engine_.drain();
-         drain_apply_queue();
+         seed_cut(resp.cut);
          // Anything the old DC never acknowledged goes again to the new
          // one; dots filter duplicates (section 3.8).
          pump_forward();
@@ -315,23 +313,35 @@ void PeerGroupParent::ensure_dc_interest(const ObjectKey& key) {
          const auto resp = codec::from_bytes<proto::FetchResp>(r.value());
          store_.import_snapshot(resp.snapshot);
          engine_.reapply_missing(resp.snapshot.key, resp.snapshot);
-         engine_.seed_state(resp.cut);
-         engine_.drain();
-         drain_apply_queue();
+         seed_cut(resp.cut);
        });
 }
 
-void PeerGroupParent::relay_push(const Transaction& txn) {
+void PeerGroupParent::seed_cut(const VersionVector& cut) {
+  engine_.seed_state(cut);
+  engine_.drain();
+  drain_apply_queue();
+}
+
+void PeerGroupParent::relay_push(const proto::PushTxn& msg) {
+  // Relayed with a cleared watermark: the member's channel to the parent
+  // has its own (unacked) sequence space, and the parent has already
+  // verified coverage. A carried cut rides the relayed push; members the
+  // push skips get it alone, so every member sees every cut the parent
+  // seeds, in the parent's order.
   for (const NodeId m : members_) {
     const auto it = member_interest_.find(m);
-    if (it == member_interest_.end()) continue;
     const bool interesting =
-        std::any_of(txn.ops.begin(), txn.ops.end(), [&](const OpRecord& op) {
-          return it->second.contains(op.key) ||
-                 op.key == security::acl_object_key();
-        });
+        it != member_interest_.end() &&
+        std::any_of(msg.txn.ops.begin(), msg.txn.ops.end(),
+                    [&](const OpRecord& op) {
+                      return it->second.contains(op.key) ||
+                             op.key == security::acl_object_key();
+                    });
     if (interesting) {
-      tell(m, proto::kPushTxn, proto::PushTxn{txn});
+      tell(m, proto::kPushTxn, proto::PushTxn{msg.txn, 0, msg.cut});
+    } else if (msg.cut) {
+      tell(m, proto::kStateUpdate, proto::StateUpdate{*msg.cut, 0});
     }
   }
 }
@@ -395,20 +405,17 @@ void PeerGroupParent::on_message(NodeId from, std::uint32_t kind,
       if (!push.deliver) break;  // after-gap: await the sender's rewind
       engine_.ingest(msg.txn);
       drain_apply_queue();
-      relay_push(msg.txn);
+      if (msg.cut) seed_cut(*msg.cut);
+      relay_push(msg);
+      if (msg.cut) pump_forward();
       break;
     }
     case proto::kStateUpdate: {
       const auto msg = codec::from_bytes<proto::StateUpdate>(body);
       if (!dc_recv_.covers(msg.seq_watermark)) break;  // lost-push window
-      engine_.seed_state(msg.cut);
-      engine_.drain();
-      drain_apply_queue();
-      for (const NodeId m : members_) {
-        // Relay with a cleared watermark: the member's channel to the
-        // parent has its own (unacked) sequence space, and the parent has
-        // already verified coverage above.
-        tell(m, proto::kStateUpdate, proto::StateUpdate{msg.cut});
+      seed_cut(msg.cut);
+      for (const NodeId m : members_) {  // cleared watermark: see relay_push
+        tell(m, proto::kStateUpdate, proto::StateUpdate{msg.cut, 0});
       }
       pump_forward();
       break;

@@ -96,7 +96,9 @@ class PeerGroupParent final : public sim::RpcActor {
 
   // DC-side session.
   void ensure_dc_interest(const ObjectKey& key);
-  void relay_push(const Transaction& txn);
+  /// Seed a K-stable cut from the DC session and apply what it unblocks.
+  void seed_cut(const VersionVector& cut);
+  void relay_push(const proto::PushTxn& msg);
 
   GroupParentConfig config_;
   std::uint64_t epoch_ = 0;

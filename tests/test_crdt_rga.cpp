@@ -114,7 +114,7 @@ TEST(Rga, DuplicateInsertIgnored) {
 
 TEST(RgaDeath, IndexOutOfRange) {
   Rga seq;
-  EXPECT_DEATH(seq.id_at(0), "out of range");
+  EXPECT_DEATH((void)seq.id_at(0), "out of range");
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ TEST(HashRing, SingleShardOwnsEverything) {
 
 TEST(HashRingDeath, EmptyRingAborts) {
   HashRing ring;
-  EXPECT_DEATH(ring.owner(key(1)), "empty");
+  EXPECT_DEATH((void)ring.owner(key(1)), "empty");
 }
 
 TEST(HashRingDeath, DuplicateShardAborts) {

@@ -246,7 +246,7 @@ TEST(WireTransport, SealedPayloadsCrossTheWireOpaquely) {
   Transaction txn;
   txn.meta.dot = Dot{10, 1};
   txn.ops.push_back(sealed_op);
-  const Bytes wire = codec::to_bytes(proto::PushTxn{txn, 1});
+  const Bytes wire = codec::to_bytes(proto::PushTxn{txn, 1, std::nullopt});
 
   // The sealed ciphertext is embedded verbatim — a relay can forward it
   // without any cryptographic capability.
