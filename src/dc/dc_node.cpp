@@ -752,14 +752,30 @@ void DcNode::log_session(NodeId node, const EdgeSession& session) {
   // every session, which rewinds to the acknowledged prefix and relies on
   // the subscriber's dot filter to drop re-pushed duplicates.
   Encoder rec;
-  rec.u64(node);
-  rec.u64(session.user);
-  codec::write(rec, session.interest);
-  rec.u64(session.cursor);
-  rec.u64(session.acked);
-  rec.u64(session.seq);
-  rec.u64(session.acked_seq);
+  encode_session(rec, node, session);
   log_record(kWalDcSession, rec);
+}
+
+void DcNode::encode_session(Encoder& enc, NodeId node,
+                            const EdgeSession& session) {
+  enc.u64(node);
+  enc.u64(session.user);
+  codec::write(enc, session.interest);
+  enc.u64(session.cursor);
+  enc.u64(session.acked);
+  enc.u64(session.seq);
+  enc.u64(session.acked_seq);
+}
+
+void DcNode::decode_session(Decoder& dec) {
+  const NodeId node = dec.u64();
+  EdgeSession& session = sessions_[node];
+  session.user = dec.u64();
+  session.interest = codec::read<std::set<ObjectKey>>(dec);
+  session.cursor = static_cast<std::size_t>(dec.u64());
+  session.acked = static_cast<std::size_t>(dec.u64());
+  session.seq = dec.u64();
+  session.acked_seq = dec.u64();
 }
 
 void DcNode::replay_record(std::uint32_t type, ByteView payload) {
@@ -789,14 +805,7 @@ void DcNode::replay_record(std::uint32_t type, ByteView payload) {
       break;
     }
     case kWalDcSession: {
-      const NodeId node = dec.u64();
-      EdgeSession& session = sessions_[node];
-      session.user = dec.u64();
-      session.interest = codec::read<std::set<ObjectKey>>(dec);
-      session.cursor = static_cast<std::size_t>(dec.u64());
-      session.acked = static_cast<std::size_t>(dec.u64());
-      session.seq = dec.u64();
-      session.acked_seq = dec.u64();
+      decode_session(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kWalDcSession payload");
       break;
     }
@@ -829,13 +838,7 @@ void DcNode::encode_checkpoint(Encoder& enc) const {
   codec::write(enc, dc_states_);
   enc.u32(static_cast<std::uint32_t>(sessions_.size()));
   for (const auto& [node, session] : sessions_) {
-    enc.u64(node);
-    enc.u64(session.user);
-    codec::write(enc, session.interest);
-    enc.u64(session.cursor);
-    enc.u64(session.acked);
-    enc.u64(session.seq);
-    enc.u64(session.acked_seq);
+    encode_session(enc, node, session);
   }
   txns_.encode(enc);
   store_.encode(enc);
@@ -857,14 +860,7 @@ void DcNode::decode_checkpoint(ByteView snapshot) {
   sessions_.clear();
   const std::uint32_t session_count = dec.u32();
   for (std::uint32_t i = 0; i < session_count && dec.ok(); ++i) {
-    const NodeId node = dec.u64();
-    EdgeSession& session = sessions_[node];
-    session.user = dec.u64();
-    session.interest = codec::read<std::set<ObjectKey>>(dec);
-    session.cursor = static_cast<std::size_t>(dec.u64());
-    session.acked = static_cast<std::size_t>(dec.u64());
-    session.seq = dec.u64();
-    session.acked_seq = dec.u64();
+    decode_session(dec);
   }
   txns_.decode(dec);
   store_.decode(dec);

@@ -204,6 +204,12 @@ class DcNode final : public sim::RpcActor {
   }
   void log_record(std::uint32_t type, const Encoder& payload);
   void log_session(NodeId node, const EdgeSession& session);
+  /// The durable session record (identity plus channel position at write
+  /// time), shared by kWalDcSession and the checkpoint. decode_session
+  /// reads one into sessions_, creating the entry if needed.
+  static void encode_session(Encoder& enc, NodeId node,
+                             const EdgeSession& session);
+  void decode_session(Decoder& dec);
   void replay_record(std::uint32_t type, ByteView payload);
   void encode_checkpoint(Encoder& enc) const;
   void decode_checkpoint(ByteView snapshot);

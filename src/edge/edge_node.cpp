@@ -1018,31 +1018,7 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
 
 void EdgeNode::encode_checkpoint(Encoder& enc) const {
   enc.u32(1);  // checkpoint layout version
-  enc.u64(config_.dc);
-  enc.u64(dot_counter_);
-  enc.u64(commits_);
-  enc.u64(hlc_.last());
-  {
-    auto keys = interest_.keys();
-    std::sort(keys.begin(), keys.end());
-    codec::write(enc, keys);
-  }
-  enc.u32(static_cast<std::uint32_t>(push_recv_.size()));
-  for (const auto& [node, recv] : push_recv_) {
-    enc.u64(node);
-    enc.u64(recv.last_seq);
-  }
-  enc.u32(static_cast<std::uint32_t>(unacked_.size()));
-  for (const Dot& dot : unacked_) dot.encode(enc);
-  codec::write(enc, last_local_unresolved_);
-  enc.u32(static_cast<std::uint32_t>(session_keys_.size()));
-  for (const auto& [bucket, key] : session_keys_) {
-    enc.str(bucket);
-    enc.u64(key);
-  }
-  txns_.encode(enc);
-  store_.encode(enc);
-  engine_.encode_state(enc);
+  encode_durable(enc);
 }
 
 void EdgeNode::decode_checkpoint(ByteView snapshot) {

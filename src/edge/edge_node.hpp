@@ -289,6 +289,7 @@ class EdgeNode final : public sim::RpcActor {
   }
   void log_record(std::uint32_t type, const Encoder& payload);
   void replay_record(std::uint32_t type, ByteView payload);
+  /// A checkpoint is the layout version word plus the durable projection.
   void encode_checkpoint(Encoder& enc) const;
   void decode_checkpoint(ByteView snapshot);
   /// The recovery-invariant projection (exact-restoration contract).

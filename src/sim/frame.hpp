@@ -1,0 +1,53 @@
+// The frame codec: the single definition of the checksummed byte frame that
+// every message crosses a link in (sim::Network) and every durable record is
+// logged in (storage::Wal).
+//
+//   [ kind u32 | len u32 | payload[len] | crc32 u32 ]   (little-endian)
+//
+// The CRC covers header and payload. A frame that is truncated, whose length
+// prefix overruns its buffer, or whose checksum disagrees is rejected, so any
+// flipped bit surfaces as loss (transport) or as a torn tail (WAL) — never as
+// a wrong value.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+
+#include "util/binary_codec.hpp"
+
+namespace colony::sim::frame {
+
+inline constexpr std::size_t kHeaderBytes = 8;   // kind u32 + length u32
+inline constexpr std::size_t kTrailerBytes = 4;  // crc32 of header+payload
+inline constexpr std::size_t kOverheadBytes = kHeaderBytes + kTrailerBytes;
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the frame
+/// checksum.
+[[nodiscard]] std::uint32_t crc32(ByteView data);
+
+/// Write one frame in place at the end of `stream` (a stream of frames, or
+/// an empty buffer). `payload` must not alias `stream`.
+void append(Bytes& stream, std::uint32_t kind, ByteView payload);
+
+/// Seal a payload into a standalone frame: one allocation, sized up front.
+[[nodiscard]] Bytes encode(std::uint32_t kind, ByteView payload);
+
+/// Non-owning opened frame: `payload` points into the buffer it was decoded
+/// from and is valid only as long as that buffer. The frame occupies
+/// `kOverheadBytes + payload.size()` bytes of it.
+struct ViewRef {
+  std::uint32_t kind = 0;
+  ByteView payload;
+};
+
+/// Open the first frame of a stream of frames: nullopt when it is
+/// truncated, its length prefix runs past the stream, or its checksum
+/// fails. Bytes after the frame are not looked at.
+[[nodiscard]] std::optional<ViewRef> decode_front(ByteView stream);
+
+/// Open a buffer that must hold exactly one frame (decode_front plus a
+/// size check: trailing bytes are rejected too). Zero-copy: the delivery
+/// path hands the payload view straight to the actor.
+[[nodiscard]] std::optional<ViewRef> decode_view(ByteView frm);
+
+}  // namespace colony::sim::frame

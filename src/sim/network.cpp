@@ -7,42 +7,6 @@
 
 namespace colony::sim {
 
-namespace frame {
-
-Bytes encode(std::uint32_t kind, ByteView payload) {
-  Encoder enc;
-  enc.reserve(kOverheadBytes + payload.size());
-  enc.u32(kind);
-  enc.u32(static_cast<std::uint32_t>(payload.size()));
-  enc.raw(payload);
-  enc.u32(crc32(enc.data()));  // trailer over header+payload, in place
-  return enc.take();
-}
-
-std::optional<ViewRef> decode_view(ByteView frm) {
-  if (frm.size() < kOverheadBytes) return std::nullopt;
-  Decoder dec(frm);
-  ViewRef view;
-  view.kind = dec.u32();
-  const std::uint32_t len = dec.u32();
-  if (len != frm.size() - kOverheadBytes) return std::nullopt;
-  const std::uint32_t expected = crc32(frm.data(), frm.size() - kTrailerBytes);
-  std::uint32_t stored;
-  std::memcpy(&stored, frm.data() + frm.size() - kTrailerBytes,
-              sizeof(stored));
-  if (stored != expected) return std::nullopt;
-  view.payload = frm.subspan(kHeaderBytes, len);
-  return view;
-}
-
-std::optional<View> decode(const Bytes& frm) {
-  const auto ref = decode_view(frm);
-  if (!ref) return std::nullopt;
-  return View{ref->kind, Bytes(ref->payload.begin(), ref->payload.end())};
-}
-
-}  // namespace frame
-
 SimTime LatencyModel::sample(Rng& rng) const {
   if (jitter == 0) return std::max<SimTime>(mean, 1);
   const SimTime lo = mean > jitter ? mean - jitter : 1;

@@ -3,10 +3,10 @@
 //
 // This substitutes for the paper's testbed transport (RabbitMQ between DCs,
 // WebRTC between peers, `tc`-shaped latencies; section 7.2). Every message
-// crosses a link as a length-prefixed, checksummed byte frame
-// `[kind u32 | len u32 | payload | crc32 u32]`: senders encode, receivers
-// decode, so wire sizes are measured truth (per-link and per-kind counters)
-// and transmission delay can be charged as size/throughput. Links preserve
+// crosses a link as a checksummed byte frame (sim/frame.hpp): senders
+// encode, receivers decode, so wire sizes are measured truth (per-link and
+// per-kind counters) and transmission delay can be charged as
+// size/throughput. Links preserve
 // per-link FIFO order (TCP-like); a downed link or node silently drops
 // traffic, and a corrupted frame fails its checksum at delivery and is
 // dropped too — upper layers see both as loss and recover via RPC timeouts
@@ -17,10 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <unordered_map>
 
+#include "sim/frame.hpp"
 #include "sim/scheduler.hpp"
 #include "util/binary_codec.hpp"
 #include "util/metrics.hpp"
@@ -36,42 +36,6 @@ namespace colony::sim {
 inline constexpr std::uint32_t kRpcRequestFlag = 0x8000'0000u;
 inline constexpr std::uint32_t kRpcResponseFlag = 0x4000'0000u;
 inline constexpr std::uint32_t kRpcKindMask = 0x3FFF'FFFFu;
-
-/// Frame layout of the byte transport.
-namespace frame {
-
-inline constexpr std::size_t kHeaderBytes = 8;   // kind u32 + length u32
-inline constexpr std::size_t kTrailerBytes = 4;  // crc32 of header+payload
-inline constexpr std::size_t kOverheadBytes = kHeaderBytes + kTrailerBytes;
-
-/// Seal a payload into a checksummed frame. One allocation: the buffer is
-/// reserved at full frame size up front and the trailer is appended in
-/// place (no second encoder, no insert-splice).
-[[nodiscard]] Bytes encode(std::uint32_t kind, ByteView payload);
-
-/// Owning decoded frame (stored/queued copies).
-struct View {
-  std::uint32_t kind = 0;
-  Bytes payload;
-};
-
-/// Non-owning decoded frame: `payload` points into the frame buffer passed
-/// to decode_view and is valid only as long as that buffer.
-struct ViewRef {
-  std::uint32_t kind = 0;
-  ByteView payload;
-};
-
-/// Validate and open a frame: nullopt on truncation, a length prefix that
-/// disagrees with the frame size, or a checksum mismatch — i.e. any flipped
-/// bit is detected and surfaces as loss, never as a wrong value.
-[[nodiscard]] std::optional<View> decode(const Bytes& frm);
-
-/// Same validation, zero-copy: the hot delivery path opens the frame in
-/// place and hands the payload view straight to the actor.
-[[nodiscard]] std::optional<ViewRef> decode_view(ByteView frm);
-
-}  // namespace frame
 
 /// Latency/bandwidth model of one link class.
 struct LatencyModel {

@@ -1,16 +1,11 @@
 // Write-ahead log + checkpoint stream: the durability layer under a node.
 //
 // A Wal models one node's local durable disk inside the simulation: two
-// append-only byte streams (the record log and the checkpoint stream),
-// both framed exactly like the wire transport —
-//
-//   record frame:      [u32 type | u32 len | payload[len] | u32 crc32]
-//   checkpoint frame:  [u32 kCheckpointMagic | u32 len |
-//                       (u64 wal_offset ++ snapshot) | u32 crc32]
-//
-// where the CRC covers everything before it in the frame. The record
-// `type` vocabulary belongs to the caller (DcNode and EdgeNode define
-// their own replay enums); the Wal itself only guarantees framing,
+// append-only streams of frames in the wire's frame format (sim/frame.hpp).
+// A record frame's kind is the caller's record type; a checkpoint frame's
+// kind is kCheckpointMagic and its payload is `u64 wal_offset ++ snapshot`.
+// The record `type` vocabulary belongs to the caller (DcNode and EdgeNode
+// define their own replay enums); the Wal itself only guarantees framing,
 // integrity, and the recovery contract:
 //
 //   * recover() scans the record log from offset 0 and accepts the
@@ -71,9 +66,6 @@ class Wal {
  public:
   /// Frame `type` marker of checkpoint-stream frames.
   static constexpr std::uint32_t kCheckpointMagic = 0x43503031;  // "CP01"
-  /// Fixed framing overhead: type + len header, crc trailer.
-  static constexpr std::size_t kHeaderBytes = 8;
-  static constexpr std::size_t kTrailerBytes = 4;
 
   /// Append one record frame to the log.
   void append(std::uint32_t type, ByteView payload);
@@ -97,8 +89,10 @@ class Wal {
   /// leaves a recoverable disk: the checkpoint stream is compacted first
   /// (the survivor is the one recover() would pick), then the log prefix
   /// behind its anchor is erased and log_base() advances to the anchor.
-  /// Returns the number of log bytes reclaimed (0 when there is no usable
-  /// checkpoint or nothing to drop).
+  /// Torn tails of either stream are left for truncate_to(), so recover()
+  /// returns the same result before and after. Returns the number of log
+  /// bytes reclaimed (0 when there is no usable checkpoint or nothing to
+  /// drop).
   std::uint64_t truncate_to_checkpoint();
 
   /// Logical offset of the first byte still present in the record log.
@@ -129,6 +123,11 @@ class Wal {
   void clear();
 
  private:
+  struct Plan;
+  /// Scan both streams once and pick the restore base: the one place the
+  /// checkpoint-choice rule lives.
+  [[nodiscard]] Plan plan() const;
+
   Bytes log_;
   Bytes cp_;
   std::uint64_t log_base_ = 0;  // logical offset of log_[0]

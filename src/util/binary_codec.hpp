@@ -5,7 +5,6 @@
 // message sizes reported by the metadata ablation bench reflect it.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -23,33 +22,6 @@ using Bytes = std::vector<std::uint8_t>;
 /// must outlive the handler call (a stored payload, a queued message) has
 /// to be materialised into Bytes explicitly.
 using ByteView = std::span<const std::uint8_t>;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n` bytes.
-/// Used as the frame checksum of the simulated transport: flipped bits on a
-/// link must be *detected* and surface as loss, never as a wrong value.
-[[nodiscard]] inline std::uint32_t crc32(const std::uint8_t* data,
-                                         std::size_t n) {
-  static constexpr auto kTable = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-[[nodiscard]] inline std::uint32_t crc32(ByteView data) {
-  return crc32(data.data(), data.size());
-}
 
 /// Append-only encoder.
 class Encoder {

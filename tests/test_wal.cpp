@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/frame.hpp"
+
 namespace colony::storage {
 namespace {
 
@@ -65,6 +67,20 @@ TEST(Wal, CheckpointAnchorsTheTail) {
   EXPECT_EQ(wal.records_since_checkpoint(), 2u);
 }
 
+TEST(Wal, RecordLogIsTheWireFramesConcatenated) {
+  // The WAL has no framing of its own: its record log is byte for byte the
+  // frames the transport would put on a link for the same payloads.
+  Wal wal;
+  Bytes expected;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    const Bytes payload = bytes_of(std::string(i * 5, 'x'));
+    wal.append(i + 1, payload);
+    const Bytes frm = sim::frame::encode(i + 1, payload);
+    expected.insert(expected.end(), frm.begin(), frm.end());
+  }
+  EXPECT_EQ(wal.raw_log(), expected);
+}
+
 TEST(Wal, RecoverIsIdempotent) {
   Wal wal;
   fill(wal, 4);
@@ -84,8 +100,8 @@ TEST(Wal, TruncationAtEveryByteOfLastRecordDropsExactlyIt) {
   Wal pristine;
   const auto payloads = fill(pristine, 4);
   const std::size_t full = pristine.log_bytes();
-  const std::size_t last_frame = Wal::kHeaderBytes + payloads.back().size() +
-                                 Wal::kTrailerBytes;
+  const std::size_t last_frame =
+      sim::frame::kOverheadBytes + payloads.back().size();
   const std::size_t boundary = full - last_frame;
 
   for (std::size_t cut = boundary; cut < full; ++cut) {
@@ -107,8 +123,8 @@ TEST(Wal, BitFlipAtEveryByteOfLastRecordNeverResurrectsIt) {
   Wal pristine;
   const auto payloads = fill(pristine, 4);
   const std::size_t full = pristine.log_bytes();
-  const std::size_t last_frame = Wal::kHeaderBytes + payloads.back().size() +
-                                 Wal::kTrailerBytes;
+  const std::size_t last_frame =
+      sim::frame::kOverheadBytes + payloads.back().size();
   const std::size_t boundary = full - last_frame;
 
   for (std::size_t at = boundary; at < full; ++at) {
@@ -133,8 +149,7 @@ TEST(Wal, CorruptionMidLogDropsEverythingAfterIt) {
   // trusted past the first tear).
   Wal pristine;
   const auto payloads = fill(pristine, 5);
-  const std::size_t frame1 = Wal::kHeaderBytes + payloads[0].size() +
-                             Wal::kTrailerBytes;
+  const std::size_t frame1 = sim::frame::kOverheadBytes + payloads[0].size();
   Wal wal = pristine;
   wal.mutable_log()[frame1 + 2] ^= 0x40;  // inside record #2
   const WalRecovery rec = wal.recover();
@@ -174,8 +189,8 @@ TEST(Wal, CheckpointAheadOfValidLogIsRejected) {
   Wal wal;
   const auto payloads = fill(wal, 3);
   wal.write_checkpoint(bytes_of("over-eager"));
-  const std::size_t last_frame = Wal::kHeaderBytes + payloads.back().size() +
-                                 Wal::kTrailerBytes;
+  const std::size_t last_frame =
+      sim::frame::kOverheadBytes + payloads.back().size();
   wal.mutable_log().resize(wal.log_bytes() - last_frame + 3);  // tear #3
   const WalRecovery rec = wal.recover();
   EXPECT_FALSE(rec.checkpoint.has_value());
@@ -298,6 +313,44 @@ TEST(Wal, TornTruncationIntermediateStateStillRecovers) {
   EXPECT_FALSE(rec.torn);
 }
 
+TEST(Wal, TruncateToCheckpointNeverChangesRecoveryUnderAnyByteFlip) {
+  // truncate_to_checkpoint() picks its survivor with recover()'s rule, so
+  // on any disk — here a two-checkpoint disk with one byte of either
+  // stream flipped — recovery after truncation returns what recovery
+  // before it would have.
+  Wal pristine;
+  fill(pristine, 2);
+  pristine.write_checkpoint(bytes_of("older"));
+  fill(pristine, 2);
+  pristine.write_checkpoint(bytes_of("newest"));
+  fill(pristine, 2);
+
+  std::size_t reclaimed = 0;
+  const auto expect_same = [&](const Wal& disk, const std::string& where) {
+    const WalRecovery want = disk.recover();
+    Wal truncated = disk;
+    if (truncated.truncate_to_checkpoint() > 0) ++reclaimed;
+    const WalRecovery got = truncated.recover();
+    EXPECT_EQ(got.checkpoint, want.checkpoint) << where;
+    EXPECT_EQ(got.checkpoint_offset, want.checkpoint_offset) << where;
+    EXPECT_EQ(got.tail, want.tail) << where;
+    EXPECT_EQ(got.torn, want.torn) << where;
+    EXPECT_EQ(got.valid_bytes, want.valid_bytes) << where;
+  };
+  for (std::size_t at = 0; at < pristine.log_bytes(); ++at) {
+    Wal disk = pristine;
+    disk.mutable_log()[at] ^= 0x20;
+    expect_same(disk, "log byte " + std::to_string(at));
+  }
+  for (std::size_t at = 0; at < pristine.checkpoint_bytes(); ++at) {
+    Wal disk = pristine;
+    disk.mutable_checkpoints()[at] ^= 0x20;
+    expect_same(disk, "checkpoint byte " + std::to_string(at));
+  }
+  // Not vacuous: most flips still leave a checkpoint worth truncating to.
+  EXPECT_GT(reclaimed, pristine.log_bytes() / 2);
+}
+
 TEST(Wal, TruncatedLogSurvivesTornTailFuzz) {
   // The full torn-tail sweep over a truncated wal: logical offsets must keep
   // lining up when the in-memory stream no longer starts at genesis.
@@ -308,7 +361,7 @@ TEST(Wal, TruncatedLogSurvivesTornTailFuzz) {
   const auto later = fill(pristine, 2);
   const std::size_t full = pristine.log_bytes();
   const std::size_t last_frame =
-      Wal::kHeaderBytes + later.back().size() + Wal::kTrailerBytes;
+      sim::frame::kOverheadBytes + later.back().size();
   const std::size_t boundary = full - last_frame;
 
   for (std::size_t cut = boundary; cut < full; ++cut) {

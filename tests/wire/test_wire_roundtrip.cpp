@@ -116,8 +116,8 @@ T fuzz(Rng& rng) {
 }
 
 /// decode(encode(m)) == m, plus the same through a checksummed frame
-/// (frame::encode / frame::decode), which is the path every live message
-/// actually takes.
+/// (frame::encode / frame::decode_view), which is the path every live
+/// message actually takes.
 template <typename T>
 void fuzz_roundtrip(std::uint32_t kind) {
   Rng rng(0xC01051ULL * 31 + kind);  // seeded: reproducible per kind
@@ -131,7 +131,7 @@ void fuzz_roundtrip(std::uint32_t kind) {
 
     const Bytes frm = sim::frame::encode(kind, bytes);
     ASSERT_EQ(frm.size(), bytes.size() + sim::frame::kOverheadBytes);
-    const auto view = sim::frame::decode(frm);
+    const auto view = sim::frame::decode_view(frm);
     ASSERT_TRUE(view.has_value()) << "iter " << i;
     ASSERT_EQ(view->kind, kind);
     ASSERT_EQ(codec::from_bytes<T>(view->payload), msg) << "iter " << i;

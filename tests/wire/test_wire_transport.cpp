@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/txn.hpp"
@@ -12,6 +13,7 @@
 #include "dc/messages.hpp"
 #include "security/crypto_sim.hpp"
 #include "security/sealed.hpp"
+#include "sim/frame.hpp"
 #include "sim/network.hpp"
 #include "sim/rpc.hpp"
 #include "util/codec.hpp"
@@ -36,16 +38,16 @@ TEST(WireFrame, RoundTripPreservesKindAndPayload) {
   const Bytes payload{1, 2, 3, 0xff, 0, 42};
   const Bytes frm = sim::frame::encode(proto::kPushTxn, payload);
   ASSERT_EQ(frm.size(), payload.size() + sim::frame::kOverheadBytes);
-  const auto view = sim::frame::decode(frm);
+  const auto view = sim::frame::decode_view(frm);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->kind, proto::kPushTxn);
-  EXPECT_EQ(view->payload, payload);
+  EXPECT_EQ(Bytes(view->payload.begin(), view->payload.end()), payload);
 }
 
 TEST(WireFrame, EmptyPayloadIsPureOverhead) {
   const Bytes frm = sim::frame::encode(proto::kGroupPing, {});
   EXPECT_EQ(frm.size(), sim::frame::kOverheadBytes);
-  const auto view = sim::frame::decode(frm);
+  const auto view = sim::frame::decode_view(frm);
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->payload.empty());
 }
@@ -59,7 +61,7 @@ TEST(WireFrame, DetectsEveryByteFlip) {
   for (std::size_t i = 0; i < frm.size(); ++i) {
     Bytes damaged = frm;
     damaged[i] ^= 0x5a;
-    EXPECT_FALSE(sim::frame::decode(damaged).has_value())
+    EXPECT_FALSE(sim::frame::decode_view(damaged).has_value())
         << "flip at byte " << i << " went undetected";
   }
 }
@@ -69,7 +71,7 @@ TEST(WireFrame, RejectsTruncationAtEveryLength) {
   for (std::size_t len = 0; len < frm.size(); ++len) {
     const Bytes prefix(frm.begin(),
                        frm.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_FALSE(sim::frame::decode(prefix).has_value())
+    EXPECT_FALSE(sim::frame::decode_view(prefix).has_value())
         << "truncation to " << len << " bytes went undetected";
   }
 }
@@ -77,7 +79,48 @@ TEST(WireFrame, RejectsTruncationAtEveryLength) {
 TEST(WireFrame, RejectsTrailingGarbageAndLengthMismatch) {
   Bytes frm = sim::frame::encode(7, Bytes{1, 2, 3, 4});
   frm.push_back(0);  // frame size no longer matches the length prefix
-  EXPECT_FALSE(sim::frame::decode(frm).has_value());
+  EXPECT_FALSE(sim::frame::decode_view(frm).has_value());
+}
+
+// Known answers pin the checksum and the byte layout: a change of CRC
+// algorithm or frame layout must update these on purpose.
+TEST(WireFrame, Crc32KnownAnswer) {
+  const std::string check = "123456789";
+  const Bytes input(check.begin(), check.end());
+  EXPECT_EQ(sim::frame::crc32(input), 0xCBF43926u);
+}
+
+TEST(WireFrame, GoldenFrameBytes) {
+  const Bytes golden{0x07, 0x00, 0x00, 0x00,   // kind 7
+                     0x04, 0x00, 0x00, 0x00,   // payload length 4
+                     0x01, 0x02, 0x03, 0x04,   // payload
+                     0xcb, 0x05, 0x7f, 0x1c};  // crc32 of the 12 bytes above
+  EXPECT_EQ(sim::frame::encode(7, Bytes{1, 2, 3, 4}), golden);
+  Bytes appended{0xee};
+  sim::frame::append(appended, 7, Bytes{1, 2, 3, 4});
+  EXPECT_EQ(Bytes(appended.begin() + 1, appended.end()), golden);
+}
+
+TEST(WireFrame, DecodeFrontOpensTheFirstFrameOfAStream) {
+  Bytes stream = sim::frame::encode(3, Bytes{9, 9});
+  sim::frame::append(stream, 4, Bytes{1, 2, 3});
+  stream.push_back(0x55);  // a torn third frame
+  const auto first = sim::frame::decode_front(stream);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->kind, 3u);
+  EXPECT_EQ(Bytes(first->payload.begin(), first->payload.end()),
+            (Bytes{9, 9}));
+  const std::size_t second_at = sim::frame::kOverheadBytes + 2;
+  const auto second =
+      sim::frame::decode_front(ByteView(stream).subspan(second_at));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->kind, 4u);
+  EXPECT_EQ(second->payload.size(), 3u);
+  const std::size_t third_at = second_at + sim::frame::kOverheadBytes + 3;
+  EXPECT_FALSE(
+      sim::frame::decode_front(ByteView(stream).subspan(third_at)));
+  // decode_view demands exactly one frame.
+  EXPECT_FALSE(sim::frame::decode_view(stream).has_value());
 }
 
 // --- corruption injection ---------------------------------------------------
