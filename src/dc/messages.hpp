@@ -446,11 +446,6 @@ struct GroupCommand {
 
   bool operator==(const GroupCommand&) const = default;
   auto fields() { return std::tie(ordered, txn, expected); }
-
-  [[nodiscard]] Bytes to_bytes() const { return codec::to_bytes(*this); }
-  static GroupCommand from_bytes(const Bytes& bytes) {
-    return codec::from_bytes<GroupCommand>(bytes);
-  }
 };
 
 }  // namespace colony::proto

@@ -109,25 +109,19 @@ void EdgeNode::migrate_transaction(std::vector<ObjectKey> reads,
 Arb EdgeNode::make_arb() {
   // local_now (not now) so injected clock skew flows into arbitration
   // timestamps — the HLC absorbs it, which is exactly what chaos verifies.
-  const Timestamp ts = hlc_.tick(net_.local_now(id()));
-  if (wal_enabled()) {
-    // The tick value depends on the wall clock, which replay cannot
-    // reproduce; log the resulting HLC state instead.
-    Encoder rec;
-    rec.u64(hlc_.last());
-    log_record(kEdgeHlc, rec);
-  }
+  // The tick depends on the wall clock, which replay cannot reproduce; the
+  // record carries the resulting HLC state instead.
+  const Timestamp ts = HybridLogicalClock{hlc_}.tick(net_.local_now(id()));
+  log_record(kEdgeHlc, [&](Encoder& rec) { rec.u64(ts); });
+  apply_hlc(ts);
   return Arb{ts, fresh_dot()};
 }
 
 Dot EdgeNode::fresh_dot() {
-  const Dot dot{id(), ++dot_counter_};
-  if (wal_enabled()) {
-    Encoder rec;
-    rec.u64(dot_counter_);
-    log_record(kEdgeDot, rec);
-  }
-  return dot;
+  const std::uint64_t counter = dot_counter_ + 1;
+  log_record(kEdgeDot, [&](Encoder& rec) { rec.u64(counter); });
+  apply_dot(counter);
+  return Dot{id(), counter};
 }
 
 std::unique_ptr<Crdt> EdgeNode::read_at(const ObjectKey& key,
@@ -153,12 +147,8 @@ void EdgeNode::admit(const ObjectKey& key) {
 }
 
 void EdgeNode::invalidate_cache() {
-  log_record(kEdgeInvalidate, Encoder{});
-  const auto keys = store_.keys();
-  for (const ObjectKey& key : keys) {
-    store_.erase(key);
-    interest_.remove(key);
-  }
+  log_record(kEdgeInvalidate, [](Encoder& /*rec*/) {});
+  apply_invalidate();
 }
 
 // ---------------------------------------------------------------------------
@@ -204,19 +194,9 @@ void EdgeNode::read(Txn& txn, const ObjectKey& key, CrdtType type,
              const auto resp =
                  codec::from_bytes<proto::PeerFetchResp>(r.value());
              if (resp.found) {
-               if (wal_enabled()) {
-                 // Same record shape as a DC fetch (empty cut): the peer
-                 // import is an ordinary durable-state mutation.
-                 Encoder rec;
-                 rec.u8(1);
-                 codec::write(rec, key);
-                 codec::write(rec, type);
-                 codec::write(rec, resp.snapshot);
-                 VersionVector{}.encode(rec);
-                 log_record(kEdgeFetch, rec);
-               }
-               import_fetched(resp.snapshot, VersionVector{});
-               admit(key);
+               // A DC fetch with an empty cut: the peer import is an
+               // ordinary durable-state mutation.
+               on_fetched(key, type, &resp.snapshot, VersionVector{});
                finish_read(txn, key, type, std::move(cb), ReadSource::kPeer);
                return;
              }
@@ -235,17 +215,7 @@ void EdgeNode::fetch_from_dc(const Txn& txn, const ObjectKey& key,
        [this, &txn, key, type, cb = std::move(cb)](Result<Bytes> r) {
          if (r.ok()) {
            const auto resp = codec::from_bytes<proto::FetchResp>(r.value());
-           if (wal_enabled()) {
-             Encoder rec;
-             rec.u8(1);  // found
-             codec::write(rec, key);
-             codec::write(rec, type);
-             codec::write(rec, resp.snapshot);
-             resp.cut.encode(rec);
-             log_record(kEdgeFetch, rec);
-           }
-           import_fetched(resp.snapshot, resp.cut);
-           admit(key);
+           on_fetched(key, type, &resp.snapshot, resp.cut);
            finish_read(txn, key, type, std::move(cb), ReadSource::kDc);
            return;
          }
@@ -253,15 +223,7 @@ void EdgeNode::fetch_from_dc(const Txn& txn, const ObjectKey& key,
              r.error().message.starts_with("object unknown")) {
            // Nobody has created the object yet: start from the initial
            // (empty) state locally.
-           if (wal_enabled()) {
-             Encoder rec;
-             rec.u8(0);  // not found: created empty
-             codec::write(rec, key);
-             codec::write(rec, type);
-             log_record(kEdgeFetch, rec);
-           }
-           store_.ensure(key, type);
-           admit(key);
+           on_fetched(key, type, nullptr, VersionVector{});
            finish_read(txn, key, type, std::move(cb), ReadSource::kDc);
            return;
          }
@@ -273,15 +235,20 @@ void EdgeNode::fetch_from_dc(const Txn& txn, const ObjectKey& key,
        });
 }
 
-void EdgeNode::import_fetched(const ObjectSnapshot& snap,
-                              const VersionVector& cut) {
-  store_.import_snapshot(snap);
-  // The fetched (K-stable) version may be older than what this node had
-  // already observed for the key: replay the locally-known suffix.
-  engine_.reapply_missing(snap.key, snap);
-  engine_.seed_state(cut);
-  engine_.drain();
-  if (group_) drain_group_queue();
+void EdgeNode::on_fetched(const ObjectKey& key, CrdtType type,
+                          const ObjectSnapshot* snap,
+                          const VersionVector& cut) {
+  log_record(kEdgeFetch, [&](Encoder& rec) {
+    rec.u8(snap != nullptr ? 1 : 0);  // found, or created empty
+    codec::write(rec, key);
+    codec::write(rec, type);
+    if (snap != nullptr) {
+      codec::write(rec, *snap);
+      cut.encode(rec);
+    }
+  });
+  apply_fetch(key, type, snap, cut);
+  drain_group_queue();
 }
 
 std::vector<ObjectKey> EdgeNode::command_keys(
@@ -329,33 +296,13 @@ Result<Dot> EdgeNode::commit(Txn&& txn) {
   const Dot dot = record.meta.dot;
   const auto keys = command_keys(record);
 
-  if (wal_enabled()) {
-    Encoder rec;
-    record.encode(rec);
-    log_record(kEdgeCommit, rec);
-  }
-
-  // Admit the written keys into the cache before applying, so the key
-  // filter materialises them.
-  for (const OpRecord& op : record.ops) admit(op.key);
-  engine_.ingest(record);
-  engine_.apply_local(dot);  // read-my-writes (section 3.8)
-  last_local_unresolved_ = dot;
-  unacked_.push_back(dot);
-  ++commits_;
+  log_record(kEdgeCommit, [&](Encoder& rec) { record.encode(rec); });
+  apply_commit(record);
 
   if (group_) {
     // Variant 2 (section 5.1.4): commit is local; EPaxos ordering and the
     // sync point's DC handoff happen in the background.
-    proto::GroupCommand gc;
-    gc.ordered = false;
-    gc.txn = record;
-    consensus::Command cmd{dot, keys, gc.to_bytes()};
-    group_->pending_cmds.emplace(dot, cmd);
-    group_->undelivered.insert(dot);
-    for (const ObjectKey& key : keys) ++group_->own_pending_per_key[key];
-    const auto inst = group_->epaxos->propose(std::move(cmd));
-    schedule_nudge(inst, group_->epoch);
+    propose_in_group(proto::GroupCommand{false, record, {}}, keys);
   } else {
     pump_commits();
   }
@@ -390,29 +337,24 @@ void EdgeNode::commit_ordered(Txn&& txn, CommitCb cb) {
   const Dot dot = record.meta.dot;
   const auto keys = command_keys(record);
 
-  proto::GroupCommand gc;
-  gc.ordered = true;
-  gc.txn = record;
-  for (const ObjectKey& key : keys) {
-    const auto seen = group_->seen_per_key.count(key)
-                          ? group_->seen_per_key.at(key)
-                          : 0;
-    const auto own = group_->own_pending_per_key.count(key)
-                         ? group_->own_pending_per_key.at(key)
-                         : 0;
-    gc.expected.emplace_back(key, seen + own);
-  }
-
+  const auto expected =
+      group_->si_order.expected(keys, group_->own_pending_per_key);
   for (const OpRecord& op : record.ops) admit(op.key);
   // Stored but not applied until consensus orders it (variant 1); going
   // through the engine lets pending dependants see the record arrive.
   // Unlogged (group state is volatile): flag the node for verification.
   group_tainted_ = true;
   engine_.admit(record);
-  consensus::Command cmd{dot, keys, gc.to_bytes()};
-  group_->pending_cmds.emplace(dot, cmd);
-  group_->undelivered.insert(dot);
   group_->ordered_waiting.emplace(dot, std::move(cb));
+  propose_in_group(proto::GroupCommand{true, std::move(record), expected},
+                   keys);
+}
+
+void EdgeNode::propose_in_group(const proto::GroupCommand& gc,
+                                const std::vector<ObjectKey>& keys) {
+  const Dot dot = gc.txn.meta.dot;
+  consensus::Command cmd{dot, keys, codec::to_bytes(gc)};
+  group_->pending_cmds.emplace(dot, cmd);
   for (const ObjectKey& key : keys) ++group_->own_pending_per_key[key];
   const auto inst = group_->epaxos->propose(std::move(cmd));
   schedule_nudge(inst, group_->epoch);
@@ -446,8 +388,9 @@ void EdgeNode::pump_commits() {
        [this, dot](Result<Bytes> r) {
          pump_in_flight_ = false;
          if (r.ok()) {
-           on_commit_ack(
-               dot, codec::from_bytes<proto::EdgeCommitResp>(r.value()));
+           const auto resp =
+               codec::from_bytes<proto::EdgeCommitResp>(r.value());
+           on_resolution(dot, resp.dc, resp.ts, resp.resolved_snapshot);
            pump_commits();
            return;
          }
@@ -461,20 +404,16 @@ void EdgeNode::pump_commits() {
        });
 }
 
-void EdgeNode::on_commit_ack(const Dot& dot,
-                             const proto::EdgeCommitResp& resp) {
-  if (wal_enabled()) {
-    Encoder rec;
+void EdgeNode::on_resolution(const Dot& dot, DcId dc, Timestamp ts,
+                             const VersionVector& snapshot) {
+  log_record(kEdgeAck, [&](Encoder& rec) {
     dot.encode(rec);
-    rec.u32(resp.dc);
-    rec.u64(resp.ts);
-    resp.resolved_snapshot.encode(rec);
-    log_record(kEdgeAck, rec);
-  }
-  engine_.resolve_full(dot, resp.dc, resp.ts, resp.resolved_snapshot);
-  const auto it = std::find(unacked_.begin(), unacked_.end(), dot);
-  if (it != unacked_.end()) unacked_.erase(it);
-  if (last_local_unresolved_ == dot) last_local_unresolved_.reset();
+    rec.u32(dc);
+    rec.u64(ts);
+    snapshot.encode(rec);
+  });
+  apply_resolution(dot, dc, ts, snapshot);
+  drain_group_queue();
   if (const auto wit = ack_waiters_.find(dot); wit != ack_waiters_.end()) {
     CommitCb cb = std::move(wit->second);
     ack_waiters_.erase(wit);
@@ -501,21 +440,13 @@ void EdgeNode::subscribe(std::vector<ObjectKey> keys, DoneCb done) {
            return;
          }
          const auto resp = codec::from_bytes<proto::SubscribeResp>(r.value());
-         if (wal_enabled()) {
-           Encoder rec;
+         log_record(kEdgeSubscribe, [&](Encoder& rec) {
            codec::write(rec, keys);
            codec::write(rec, resp.snapshots);
            resp.cut.encode(rec);
-           log_record(kEdgeSubscribe, rec);
-         }
-         for (const ObjectSnapshot& snap : resp.snapshots) {
-           store_.import_snapshot(snap);
-           engine_.reapply_missing(snap.key, snap);
-         }
-         for (const ObjectKey& key : keys) admit(key);
-         engine_.seed_state(resp.cut);
-         engine_.drain();
-         if (group_) drain_group_queue();
+         });
+         apply_subscribe(keys, resp.snapshots, resp.cut);
+         drain_group_queue();
          done(Result<void>{});
        });
 }
@@ -530,16 +461,13 @@ void EdgeNode::open_session(std::vector<std::string> buckets, DoneCb done) {
          }
          const auto resp =
              codec::from_bytes<proto::OpenSessionResp>(r.value());
-         if (wal_enabled() && !resp.keys.empty()) {
+         if (!resp.keys.empty()) {
            // Keys stay valid across disconnection (section 5.3), so they
            // must also survive a crash.
-           Encoder rec;
-           codec::write(rec, resp.keys);
-           log_record(kEdgeSessionKey, rec);
+           log_record(kEdgeSessionKey,
+                      [&](Encoder& rec) { codec::write(rec, resp.keys); });
          }
-         for (const auto& [bucket, key] : resp.keys) {
-           session_keys_[bucket] = key;
-         }
+         apply_session_keys(resp.keys);
          done(Result<void>{});
        });
 }
@@ -552,12 +480,8 @@ std::optional<security::SessionKey> EdgeNode::session_key(
 }
 
 void EdgeNode::migrate_to_dc(NodeId new_dc, DoneCb done) {
-  if (wal_enabled()) {
-    Encoder rec;
-    rec.u64(new_dc);
-    log_record(kEdgeMigrate, rec);
-  }
-  config_.dc = new_dc;
+  log_record(kEdgeMigrate, [&](Encoder& rec) { rec.u64(new_dc); });
+  apply_migrate(new_dc);
   call(new_dc, proto::kMigrate,
        proto::MigrateReq{engine_.state_vector(), interest_.keys(),
                          config_.user, engine_.seeded_cut()},
@@ -613,22 +537,18 @@ void EdgeNode::join_group(NodeId parent, DoneCb done) {
          if (group_) {
            // Rejoin after a disconnection: carry over commands that were
            // proposed into the old (dead) epoch so they get re-ordered.
-           g.undelivered = std::move(group_->undelivered);
            g.pending_cmds = std::move(group_->pending_cmds);
            g.ordered_waiting = std::move(group_->ordered_waiting);
          }
          // Locally committed but never group-delivered transactions from a
          // fully offline phase also need (re-)proposal.
          for (const Dot& dot : unacked_) {
-           if (!g.undelivered.contains(dot) && txns_.contains(dot)) {
-             const Transaction* txn = txns_.find(dot);
-             proto::GroupCommand gc;
-             gc.ordered = false;
-             gc.txn = *txn;
+           const Transaction* txn = txns_.find(dot);
+           if (txn != nullptr && !g.pending_cmds.contains(dot)) {
+             const proto::GroupCommand gc{false, *txn, {}};
              g.pending_cmds.emplace(
-                 dot,
-                 consensus::Command{dot, command_keys(*txn), gc.to_bytes()});
-             g.undelivered.insert(dot);
+                 dot, consensus::Command{dot, command_keys(*txn),
+                                         codec::to_bytes(gc)});
            }
          }
          group_.emplace(std::move(g));
@@ -649,14 +569,25 @@ void EdgeNode::leave_group(DoneCb done) {
     done(Result<void>{});
     return;
   }
-  const NodeId parent = group_->parent;
-  group_.reset();
-  call(parent, proto::kGroupLeave, proto::GroupLeaveReq{id()},
+  call(group_->parent, proto::kGroupLeave, proto::GroupLeaveReq{id()},
        [done = std::move(done)](Result<Bytes> /*r*/) {
          done(Result<void>{});
        });
+  exit_group();
+}
+
+void EdgeNode::exit_group() {
+  // PSI commits still awaiting their slot: other members may already have
+  // ordered them, so their records stay, but this node will never learn
+  // the verdict.
+  const auto waiting = std::move(group_->ordered_waiting);
+  group_.reset();
   // Fall back to direct DC attachment for any unacknowledged commits.
   pump_commits();
+  for (const auto& [dot, cb] : waiting) {
+    cb(Error{Error::Code::kUnavailable,
+             "left the group before ordering; outcome unknown"});
+  }
 }
 
 void EdgeNode::schedule_nudge(consensus::InstanceId inst,
@@ -682,31 +613,17 @@ void EdgeNode::rebuild_epaxos() {
       },
       [this](const consensus::Command& cmd) { on_group_deliver(cmd); });
   // Re-propose own undelivered commands in the new epoch.
-  for (const Dot& dot : group_->undelivered) {
-    const auto it = group_->pending_cmds.find(dot);
-    if (it != group_->pending_cmds.end()) {
-      const auto inst = group_->epaxos->propose(it->second);
-      schedule_nudge(inst, group_->epoch);
-    }
+  for (const auto& [dot, cmd] : group_->pending_cmds) {
+    const auto inst = group_->epaxos->propose(cmd);
+    schedule_nudge(inst, group_->epoch);
   }
 }
 
 void EdgeNode::on_group_deliver(const consensus::Command& cmd) {
   COLONY_ASSERT(group_.has_value(), "delivery without group");
-  const proto::GroupCommand gc = proto::GroupCommand::from_bytes(cmd.payload);
+  const auto gc = codec::from_bytes<proto::GroupCommand>(cmd.payload);
   const Dot dot = gc.txn.meta.dot;
-
-  bool conflict = false;
-  if (gc.ordered) {
-    for (const auto& [key, expected] : gc.expected) {
-      const auto it = group_->seen_per_key.find(key);
-      if (it != group_->seen_per_key.end() && it->second > expected) {
-        conflict = true;
-        break;
-      }
-    }
-  }
-  for (const ObjectKey& key : cmd.keys) ++group_->seen_per_key[key];
+  const bool commits = group_->si_order.deliver(gc, cmd.keys);
 
   // Group deliveries mutate local state without WAL records (group state
   // is volatile by design; §9 of DESIGN.md): mark the node so in-place
@@ -714,7 +631,6 @@ void EdgeNode::on_group_deliver(const consensus::Command& cmd) {
   group_tainted_ = true;
 
   if (gc.txn.meta.origin == id()) {
-    group_->undelivered.erase(dot);
     group_->pending_cmds.erase(dot);
     for (const ObjectKey& key : cmd.keys) {
       auto it = group_->own_pending_per_key.find(key);
@@ -726,7 +642,7 @@ void EdgeNode::on_group_deliver(const consensus::Command& cmd) {
     if (wit != group_->ordered_waiting.end()) {
       CommitCb cb = std::move(wit->second);
       group_->ordered_waiting.erase(wit);
-      if (conflict) {
+      if (!commits) {
         txns_.erase(dot);  // PSI write-write conflict: abort (section 5.1.4)
         cb(Error{Error::Code::kAborted, "PSI write-write conflict"});
         return;
@@ -739,19 +655,12 @@ void EdgeNode::on_group_deliver(const consensus::Command& cmd) {
     return;  // variant-2 own transactions were applied at commit
   }
 
-  if (conflict) return;  // deterministically aborted everywhere
-  engine_.ingest(gc.txn);
-  group_->apply_queue.push_back(dot);
-  drain_group_queue();
+  // A conflicting command is deterministically aborted everywhere.
+  if (commits) group_->si_order.apply(gc.txn, engine_);
 }
 
 void EdgeNode::drain_group_queue() {
-  if (!group_) return;
-  while (!group_->apply_queue.empty()) {
-    const Dot dot = group_->apply_queue.front();
-    if (!engine_.apply_causal(dot)) break;  // strict SI order: head blocks
-    group_->apply_queue.pop_front();
-  }
+  if (group_) group_->si_order.drain(engine_);
 }
 
 // ---------------------------------------------------------------------------
@@ -764,30 +673,25 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
   switch (kind) {
     case proto::kPushTxn: {
       const auto msg = codec::from_bytes<proto::PushTxn>(body);
-      const auto push = push_recv_[from].on_push(msg.session_seq);
+      // The receive-state transition belongs to the logged effect
+      // (apply_push); preview it on a copy to ack and filter first.
+      const auto push =
+          proto::PushChannelRecv{push_recv_[from]}.on_push(msg.session_seq);
       if (push.ack != 0) {
         tell(from, proto::kPushAck, proto::PushAck{push.ack});
       }
       if (!push.deliver) break;  // after-gap: await the sender's rewind
-      if (wal_enabled()) {
-        // Delivered pushes (duplicates included — they re-drive the same
-        // receive-state transition) are the channel's durable history:
-        // replaying them restores both the engine AND push_recv_, so the
-        // restarted node acks from the exact prefix it had confirmed.
-        Encoder rec;
+      // Delivered pushes (duplicates included — they re-drive the same
+      // receive-state transition) are the channel's durable history:
+      // replaying them restores both the engine AND push_recv_, so the
+      // restarted node acks from the exact prefix it had confirmed.
+      log_record(kEdgePush, [&](Encoder& rec) {
         rec.u64(from);
         rec.u64(msg.session_seq);
         msg.txn.encode(rec);
         codec::write(rec, msg.cut);
-        log_record(kEdgePush, rec);
-      }
-      engine_.ingest(msg.txn);
-      // A delivered push is inside the receive prefix, so the cut it
-      // carries (watermark: its own session_seq) is covered.
-      if (msg.cut) {
-        engine_.seed_state(*msg.cut);
-        engine_.drain();
-      }
+      });
+      apply_push(from, msg.session_seq, msg.txn, msg.cut);
       drain_group_queue();
       break;
     }
@@ -800,42 +704,14 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
         // channel and re-announces the cut.
         break;
       }
-      if (wal_enabled()) {
-        Encoder rec;
-        msg.cut.encode(rec);
-        log_record(kEdgeSeed, rec);
-      }
-      engine_.seed_state(msg.cut);
-      engine_.drain();
+      log_record(kEdgeSeed, [&](Encoder& rec) { msg.cut.encode(rec); });
+      apply_seed(msg.cut);
       drain_group_queue();
       break;
     }
     case proto::kResolutionRelay: {
       const auto msg = codec::from_bytes<proto::ResolutionMsg>(body);
-      if (wal_enabled()) {
-        Encoder rec;
-        msg.dot.encode(rec);
-        rec.u32(msg.dc);
-        rec.u64(msg.ts);
-        msg.resolved_snapshot.encode(rec);
-        log_record(kEdgeAck, rec);
-      }
-      engine_.resolve_full(msg.dot, msg.dc, msg.ts, msg.resolved_snapshot);
-      const auto it = std::find(unacked_.begin(), unacked_.end(), msg.dot);
-      if (it != unacked_.end()) unacked_.erase(it);
-      if (last_local_unresolved_ == msg.dot) last_local_unresolved_.reset();
-      drain_group_queue();
-      if (const auto wit = ack_waiters_.find(msg.dot);
-          wit != ack_waiters_.end()) {
-        CommitCb cb = std::move(wit->second);
-        ack_waiters_.erase(wit);
-        cb(msg.dot);
-      }
-      if (unacked_.empty() && !pending_migrated_.empty()) {
-        std::vector<std::function<void()>> ready;
-        ready.swap(pending_migrated_);
-        for (auto& run : ready) run();
-      }
+      on_resolution(msg.dot, msg.dc, msg.ts, msg.resolved_snapshot);
       break;
     }
     case proto::kGroupMembership: {
@@ -843,8 +719,7 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
       if (!group_) break;
       if (std::find(msg.members.begin(), msg.members.end(), id()) ==
           msg.members.end()) {
-        group_.reset();  // removed from the group
-        pump_commits();
+        exit_group();  // removed from the group
         break;
       }
       group_->epoch = msg.epoch;
@@ -890,9 +765,85 @@ void EdgeNode::on_request(NodeId /*from*/, std::uint32_t method,
 // Durability: WAL logging, checkpoints, crash, recovery.
 // ---------------------------------------------------------------------------
 
-void EdgeNode::log_record(std::uint32_t type, const Encoder& payload) {
-  if (!wal_enabled()) return;
-  config_.disk->append(type, payload.data());
+// --- the durable effect of each record kind --------------------------------
+
+void EdgeNode::apply_commit(const Transaction& record) {
+  // Admit the written keys into the cache before applying, so the key
+  // filter materialises them.
+  for (const OpRecord& op : record.ops) admit(op.key);
+  engine_.ingest(record);
+  engine_.apply_local(record.meta.dot);  // read-my-writes (section 3.8)
+  last_local_unresolved_ = record.meta.dot;
+  unacked_.push_back(record.meta.dot);
+  ++commits_;
+}
+
+void EdgeNode::apply_resolution(const Dot& dot, DcId dc, Timestamp ts,
+                                const VersionVector& snapshot) {
+  engine_.resolve_full(dot, dc, ts, snapshot);
+  const auto it = std::find(unacked_.begin(), unacked_.end(), dot);
+  if (it != unacked_.end()) unacked_.erase(it);
+  if (last_local_unresolved_ == dot) last_local_unresolved_.reset();
+}
+
+void EdgeNode::apply_push(NodeId from, std::uint64_t seq,
+                          const Transaction& txn,
+                          const std::optional<VersionVector>& cut) {
+  // Only delivered pushes are logged, so the receive transition replays
+  // verbatim.
+  push_recv_[from].on_push(seq);
+  engine_.ingest(txn);
+  // A delivered push is inside the receive prefix, so the cut it carries
+  // (watermark: its own session_seq) is covered.
+  if (cut) apply_seed(*cut);
+}
+
+void EdgeNode::apply_seed(const VersionVector& cut) {
+  engine_.seed_state(cut);
+  engine_.drain();
+}
+
+void EdgeNode::apply_subscribe(const std::vector<ObjectKey>& keys,
+                               const std::vector<ObjectSnapshot>& snapshots,
+                               const VersionVector& cut) {
+  for (const ObjectSnapshot& snap : snapshots) {
+    store_.import_snapshot(snap);
+    engine_.reapply_missing(snap.key, snap);
+  }
+  for (const ObjectKey& key : keys) admit(key);
+  apply_seed(cut);
+}
+
+void EdgeNode::apply_fetch(const ObjectKey& key, CrdtType type,
+                           const ObjectSnapshot* snap,
+                           const VersionVector& cut) {
+  if (snap != nullptr) {
+    store_.import_snapshot(*snap);
+    // The fetched (K-stable) version may be older than what this node had
+    // already observed for the key: replay the locally-known suffix.
+    engine_.reapply_missing(snap->key, *snap);
+    apply_seed(cut);
+  }
+  admit(key);
+  // Also after an import, which skips an empty object.
+  store_.ensure(key, type);
+}
+
+void EdgeNode::apply_dot(std::uint64_t counter) { dot_counter_ = counter; }
+
+void EdgeNode::apply_hlc(Timestamp last) { hlc_.restore(last); }
+
+void EdgeNode::apply_migrate(NodeId dc) { config_.dc = dc; }
+
+void EdgeNode::apply_invalidate() {
+  for (const ObjectKey& key : store_.keys()) {
+    store_.erase(key);
+    interest_.remove(key);
+  }
+}
+
+void EdgeNode::apply_session_keys(const SessionKeys& keys) {
+  for (const auto& [bucket, key] : keys) session_keys_[bucket] = key;
 }
 
 void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
@@ -901,13 +852,7 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
     case kEdgeCommit: {
       const Transaction record = Transaction::decode(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeCommit payload");
-      const Dot dot = record.meta.dot;
-      for (const OpRecord& op : record.ops) admit(op.key);
-      engine_.ingest(record);
-      engine_.apply_local(dot);
-      last_local_unresolved_ = dot;
-      unacked_.push_back(dot);
-      ++commits_;
+      apply_commit(record);
       break;
     }
     case kEdgeAck: {
@@ -916,12 +861,7 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
       const Timestamp ts = dec.u64();
       const VersionVector snapshot = VersionVector::decode(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeAck payload");
-      // The durable core of on_commit_ack / kResolutionRelay; waiters and
-      // deferred migrations are volatile and not re-fired.
-      engine_.resolve_full(dot, dc, ts, snapshot);
-      const auto it = std::find(unacked_.begin(), unacked_.end(), dot);
-      if (it != unacked_.end()) unacked_.erase(it);
-      if (last_local_unresolved_ == dot) last_local_unresolved_.reset();
+      apply_resolution(dot, dc, ts, snapshot);
       break;
     }
     case kEdgePush: {
@@ -930,21 +870,13 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
       const Transaction txn = Transaction::decode(dec);
       const auto cut = codec::read<std::optional<VersionVector>>(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgePush payload");
-      // Re-drive the receive state machine (only delivered pushes were
-      // logged, so the transitions replay verbatim); no ack is sent.
-      push_recv_[from].on_push(seq);
-      engine_.ingest(txn);
-      if (cut) {
-        engine_.seed_state(*cut);
-        engine_.drain();
-      }
+      apply_push(from, seq, txn, cut);
       break;
     }
     case kEdgeSeed: {
       const VersionVector cut = VersionVector::decode(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeSeed payload");
-      engine_.seed_state(cut);
-      engine_.drain();
+      apply_seed(cut);
       break;
     }
     case kEdgeSubscribe: {
@@ -952,63 +884,50 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
       const auto snapshots = codec::read<std::vector<ObjectSnapshot>>(dec);
       const VersionVector cut = VersionVector::decode(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeSubscribe payload");
-      for (const ObjectSnapshot& snap : snapshots) {
-        store_.import_snapshot(snap);
-        engine_.reapply_missing(snap.key, snap);
-      }
-      for (const ObjectKey& key : keys) admit(key);
-      engine_.seed_state(cut);
-      engine_.drain();
+      apply_subscribe(keys, snapshots, cut);
       break;
     }
     case kEdgeFetch: {
       const bool found = dec.u8() != 0;
       const auto key = codec::read<ObjectKey>(dec);
       const auto type_tag = codec::read<CrdtType>(dec);
+      std::optional<ObjectSnapshot> snap;
+      VersionVector cut;
       if (found) {
-        const auto snap = codec::read<ObjectSnapshot>(dec);
-        const VersionVector cut = VersionVector::decode(dec);
-        COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeFetch payload");
-        store_.import_snapshot(snap);
-        engine_.reapply_missing(snap.key, snap);
-        engine_.seed_state(cut);
-        engine_.drain();
-      } else {
-        COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeFetch payload");
-        store_.ensure(key, type_tag);
+        snap = codec::read<ObjectSnapshot>(dec);
+        cut = VersionVector::decode(dec);
       }
-      admit(key);
-      // finish_read's ensure() ran after the import on the live path; it
-      // is a no-op there but must run for the found case too, in case the
-      // snapshot import skipped an empty object.
-      store_.ensure(key, type_tag);
+      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeFetch payload");
+      apply_fetch(key, type_tag, snap ? &*snap : nullptr, cut);
       break;
     }
     case kEdgeDot: {
-      dot_counter_ = dec.u64();
+      const std::uint64_t counter = dec.u64();
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeDot payload");
+      apply_dot(counter);
       break;
     }
     case kEdgeHlc: {
-      hlc_.restore(dec.u64());
+      const Timestamp last = dec.u64();
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeHlc payload");
+      apply_hlc(last);
       break;
     }
     case kEdgeMigrate: {
-      config_.dc = dec.u64();
+      const NodeId dc = dec.u64();
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeMigrate payload");
+      apply_migrate(dc);
       break;
     }
     case kEdgeInvalidate: {
       COLONY_ASSERT(dec.done(), "kEdgeInvalidate carries no payload");
-      invalidate_cache();
+      apply_invalidate();
       break;
     }
     case kEdgeSessionKey: {
-      const auto keys = codec::read<
-          std::vector<std::pair<std::string, security::SessionKey>>>(dec);
+      const auto keys = codec::read<SessionKeys>(dec);
       COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeSessionKey payload");
-      for (const auto& [bucket, key] : keys) session_keys_[bucket] = key;
+      apply_session_keys(keys);
       break;
     }
     default:
@@ -1039,18 +958,11 @@ void EdgeNode::decode_checkpoint(ByteView snapshot) {
     const NodeId node = dec.u64();
     push_recv_[node].last_seq = dec.u64();
   }
-  unacked_.clear();
-  const std::uint32_t unacked_count = dec.u32();
-  for (std::uint32_t i = 0; i < unacked_count && dec.ok(); ++i) {
-    unacked_.push_back(Dot::decode(dec));
-  }
+  const auto unacked = codec::read<std::vector<Dot>>(dec);
+  unacked_.assign(unacked.begin(), unacked.end());
   last_local_unresolved_ = codec::read<std::optional<Dot>>(dec);
   session_keys_.clear();
-  const std::uint32_t key_count = dec.u32();
-  for (std::uint32_t i = 0; i < key_count && dec.ok(); ++i) {
-    const std::string bucket = dec.str();
-    session_keys_[bucket] = dec.u64();
-  }
+  apply_session_keys(codec::read<SessionKeys>(dec));
   txns_.decode(dec);
   store_.decode(dec);
   engine_.decode_state(dec);
@@ -1072,14 +984,9 @@ void EdgeNode::encode_durable(Encoder& enc) const {
     enc.u64(node);
     enc.u64(recv.last_seq);
   }
-  enc.u32(static_cast<std::uint32_t>(unacked_.size()));
-  for (const Dot& dot : unacked_) dot.encode(enc);
+  codec::write(enc, std::vector<Dot>(unacked_.begin(), unacked_.end()));
   codec::write(enc, last_local_unresolved_);
-  enc.u32(static_cast<std::uint32_t>(session_keys_.size()));
-  for (const auto& [bucket, key] : session_keys_) {
-    enc.str(bucket);
-    enc.u64(key);
-  }
+  codec::write(enc, SessionKeys(session_keys_.begin(), session_keys_.end()));
   txns_.encode(enc);
   store_.encode(enc);
   engine_.encode_state(enc);
@@ -1155,6 +1062,12 @@ void EdgeNode::recover(bool reconnect) {
   }
 }
 
+Bytes EdgeNode::durable_bytes() const {
+  Encoder enc;
+  encode_durable(enc);
+  return enc.take();
+}
+
 bool EdgeNode::verify_recovery(std::string* why) const {
   // No disk: nothing to verify. Crashed: state is intentionally empty.
   // Group-tainted: consensus mutated state outside the WAL (volatile by
@@ -1172,11 +1085,9 @@ bool EdgeNode::verify_recovery(std::string* why) const {
   cfg.disk = &disk;
   EdgeNode replica(net, id(), cfg);
   replica.recover(/*reconnect=*/false);
-  Encoder mine;
-  Encoder theirs;
-  encode_durable(mine);
-  replica.encode_durable(theirs);
-  if (mine.data() == theirs.data()) return true;
+  const Bytes mine = durable_bytes();
+  const Bytes theirs = replica.durable_bytes();
+  if (mine == theirs) return true;
   if (why != nullptr) {
     *why = "edge " + std::to_string(id()) +
            " durable projection diverges after recovery: live " +

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "clock/hlc.hpp"
@@ -30,6 +29,7 @@
 #include "core/txn.hpp"
 #include "core/visibility.hpp"
 #include "dc/messages.hpp"
+#include "group/si_order.hpp"
 #include "security/acl.hpp"
 #include "security/crypto_sim.hpp"
 #include "sim/rpc.hpp"
@@ -232,6 +232,9 @@ class EdgeNode final : public sim::RpcActor {
   /// capacity-bounded caches (LRU order is not durable).
   [[nodiscard]] bool verify_recovery(std::string* why = nullptr) const;
 
+  /// The durable projection as bytes (the recovery invariant surface).
+  [[nodiscard]] Bytes durable_bytes() const;
+
   [[nodiscard]] bool crashed() const { return crashed_; }
 
  protected:
@@ -246,20 +249,14 @@ class EdgeNode final : public sim::RpcActor {
     std::uint64_t epoch = 0;
     std::vector<NodeId> members;  // includes the parent
     std::unique_ptr<consensus::Epaxos> epaxos;
-    /// Own dots proposed but not yet delivered by consensus; re-proposed
-    /// on epoch change.
-    std::set<Dot> undelivered;
-    /// Group transactions delivered by EPaxos, applied strictly in
-    /// delivery order (the group visibility order).
-    std::deque<Dot> apply_queue;
+    /// Delivered-command counts, PSI verdicts and the group visibility
+    /// order (identical at every member).
+    SiOrder si_order;
     /// PSI-variant commits awaiting their consensus slot.
     std::map<Dot, CommitCb> ordered_waiting;
-    /// Commands proposed but undelivered, kept for re-proposal on epoch
-    /// change.
+    /// Own commands proposed but not yet delivered by consensus, kept for
+    /// re-proposal on epoch change.
     std::map<Dot, consensus::Command> pending_cmds;
-    /// Count of delivered commands per key (identical at every member);
-    /// the basis of the deterministic PSI conflict check.
-    std::map<ObjectKey, std::uint64_t> seen_per_key;
     /// This node's own undelivered proposals per key (folded into the
     /// conflict signature so a node does not conflict with itself).
     std::map<ObjectKey, std::uint64_t> own_pending_per_key;
@@ -287,7 +284,15 @@ class EdgeNode final : public sim::RpcActor {
   [[nodiscard]] bool wal_enabled() const {
     return config_.disk != nullptr && !recovering_ && !crashed_;
   }
-  void log_record(std::uint32_t type, const Encoder& payload);
+  /// Append a record whose payload `write(Encoder&)` produces; nothing is
+  /// encoded while the WAL is off.
+  template <typename Write>
+  void log_record(std::uint32_t type, Write&& write) {
+    if (!wal_enabled()) return;
+    Encoder rec;
+    write(rec);
+    config_.disk->append(type, rec.data());
+  }
   void replay_record(std::uint32_t type, ByteView payload);
   /// A checkpoint is the layout version word plus the durable projection.
   void encode_checkpoint(Encoder& enc) const;
@@ -299,9 +304,35 @@ class EdgeNode final : public sim::RpcActor {
   void schedule_checkpoint();
   void checkpoint_tick();
 
+  // The durable effect of each WAL record kind, defined once: the live
+  // handler logs the record and calls it, then runs its volatile side
+  // effects (acks, callbacks, group drain); replay_record decodes the
+  // record and calls the same function.
+  void apply_commit(const Transaction& record);  // kEdgeCommit
+  void apply_resolution(const Dot& dot, DcId dc, Timestamp ts,
+                        const VersionVector& snapshot);  // kEdgeAck
+  void apply_push(NodeId from, std::uint64_t seq, const Transaction& txn,
+                  const std::optional<VersionVector>& cut);  // kEdgePush
+  void apply_seed(const VersionVector& cut);  // kEdgeSeed
+  void apply_subscribe(const std::vector<ObjectKey>& keys,
+                       const std::vector<ObjectSnapshot>& snapshots,
+                       const VersionVector& cut);  // kEdgeSubscribe
+  /// kEdgeFetch; `snap` nullptr: nobody has created the object, it starts
+  /// empty.
+  void apply_fetch(const ObjectKey& key, CrdtType type,
+                   const ObjectSnapshot* snap, const VersionVector& cut);
+  void apply_dot(std::uint64_t counter);  // kEdgeDot
+  void apply_hlc(Timestamp last);  // kEdgeHlc
+  void apply_migrate(NodeId dc);  // kEdgeMigrate
+  void apply_invalidate();  // kEdgeInvalidate
+  using SessionKeys = std::vector<std::pair<std::string, security::SessionKey>>;
+  void apply_session_keys(const SessionKeys& keys);  // kEdgeSessionKey
+
   // Commit pump towards the DC (kClientCache mode).
   void pump_commits();
-  void on_commit_ack(const Dot& dot, const proto::EdgeCommitResp& resp);
+  /// A DC resolved a local commit (its ack, or the group parent's relay).
+  void on_resolution(const Dot& dot, DcId dc, Timestamp ts,
+                     const VersionVector& snapshot);
   void notify_watchers(const Transaction& txn);
 
   // Reads.
@@ -309,7 +340,10 @@ class EdgeNode final : public sim::RpcActor {
                    ReadCb cb, ReadSource source);
   void fetch_from_dc(const Txn& txn, const ObjectKey& key, CrdtType type,
                      ReadCb cb);
-  void import_fetched(const ObjectSnapshot& snap, const VersionVector& cut);
+  /// A fetch (from the DC or a peer) returned `snap` read at `cut`;
+  /// nullptr: the object does not exist yet.
+  void on_fetched(const ObjectKey& key, CrdtType type,
+                  const ObjectSnapshot* snap, const VersionVector& cut);
 
   // Cache admission/eviction.
   void admit(const ObjectKey& key);
@@ -319,8 +353,13 @@ class EdgeNode final : public sim::RpcActor {
   /// Re-run the consensus slow path if a proposal stalls (a member died
   /// before the fast quorum completed).
   void schedule_nudge(consensus::InstanceId inst, std::uint64_t epoch);
+  void propose_in_group(const proto::GroupCommand& gc,
+                        const std::vector<ObjectKey>& keys);
   void on_group_deliver(const consensus::Command& cmd);
   void drain_group_queue();
+  /// Leave the group (by request or removal): fail the PSI commits still
+  /// awaiting their slot and fall back to direct DC attachment.
+  void exit_group();
   Transaction make_transaction(Txn&& txn);
   /// Interference keys for an EPaxos command: the updated objects plus a
   /// synthetic per-origin key that chains a node's own commands in order.

@@ -89,7 +89,7 @@ void PeerGroupParent::broadcast_membership() {
   }
 }
 
-void PeerGroupParent::handle_join(NodeId from, const proto::GroupJoinReq& req,
+void PeerGroupParent::handle_join(const proto::GroupJoinReq& req,
                                   ReplyFn reply) {
   proto::GroupJoinResp resp;
   // Causal compatibility (section 5.2): the group must be able to satisfy
@@ -116,7 +116,6 @@ void PeerGroupParent::handle_join(NodeId from, const proto::GroupJoinReq& req,
   reply(codec::to_bytes(resp));
   broadcast_membership();
   rebuild_epaxos();
-  (void)from;
 }
 
 void PeerGroupParent::handle_leave(const proto::GroupLeaveReq& req) {
@@ -141,25 +140,11 @@ void PeerGroupParent::rebuild_epaxos() {
 }
 
 void PeerGroupParent::on_group_deliver(const consensus::Command& cmd) {
-  const proto::GroupCommand gc = proto::GroupCommand::from_bytes(cmd.payload);
+  const auto gc = codec::from_bytes<proto::GroupCommand>(cmd.payload);
   const Dot dot = gc.txn.meta.dot;
-
-  bool conflict = false;
-  if (gc.ordered) {
-    for (const auto& [key, expected] : gc.expected) {
-      const auto it = seen_per_key_.find(key);
-      if (it != seen_per_key_.end() && it->second > expected) {
-        conflict = true;
-        break;
-      }
-    }
-  }
-  for (const ObjectKey& key : cmd.keys) ++seen_per_key_[key];
-  if (conflict) return;  // deterministically aborted at every member
-
-  engine_.ingest(gc.txn);
-  apply_queue_.push_back(dot);
-  drain_apply_queue();
+  // A conflicting command is deterministically aborted at every member.
+  if (!si_order_.deliver(gc, cmd.keys)) return;
+  si_order_.apply(gc.txn, engine_);
 
   if (!forwarded_.contains(dot)) {
     // A dot re-delivered across an epoch change may already be queued or
@@ -182,14 +167,6 @@ void PeerGroupParent::on_group_deliver(const consensus::Command& cmd) {
         tell(m, proto::kResolutionRelay, relay);
       }
     }
-  }
-}
-
-void PeerGroupParent::drain_apply_queue() {
-  while (!apply_queue_.empty()) {
-    const Dot dot = apply_queue_.front();
-    if (!engine_.apply_causal(dot)) break;
-    apply_queue_.pop_front();
   }
 }
 
@@ -231,7 +208,7 @@ void PeerGroupParent::pump_forward() {
                                   resp.resolved_snapshot);
              forwarded_.insert(dot);
              forward_order_.erase(dot);
-             drain_apply_queue();
+             si_order_.drain(engine_);
              const proto::ResolutionMsg relay{dot, resp.dc, resp.ts,
                                               resp.resolved_snapshot};
              for (const NodeId m : members_) {
@@ -320,7 +297,7 @@ void PeerGroupParent::ensure_dc_interest(const ObjectKey& key) {
 void PeerGroupParent::seed_cut(const VersionVector& cut) {
   engine_.seed_state(cut);
   engine_.drain();
-  drain_apply_queue();
+  si_order_.drain(engine_);
 }
 
 void PeerGroupParent::relay_push(const proto::PushTxn& msg) {
@@ -404,7 +381,7 @@ void PeerGroupParent::on_message(NodeId from, std::uint32_t kind,
       }
       if (!push.deliver) break;  // after-gap: await the sender's rewind
       engine_.ingest(msg.txn);
-      drain_apply_queue();
+      si_order_.drain(engine_);
       if (msg.cut) seed_cut(*msg.cut);
       relay_push(msg);
       if (msg.cut) pump_forward();
@@ -446,7 +423,7 @@ void PeerGroupParent::on_request(NodeId from, std::uint32_t method,
                                  ByteView payload, ReplyFn reply) {
   switch (method) {
     case proto::kGroupJoin:
-      handle_join(from, codec::from_bytes<proto::GroupJoinReq>(payload),
+      handle_join(codec::from_bytes<proto::GroupJoinReq>(payload),
                   std::move(reply));
       break;
     case proto::kGroupLeave:

@@ -23,6 +23,7 @@
 #include "core/txn.hpp"
 #include "core/visibility.hpp"
 #include "dc/messages.hpp"
+#include "group/si_order.hpp"
 #include "security/crypto_sim.hpp"
 #include "sim/rpc.hpp"
 #include "storage/journal_store.hpp"
@@ -77,7 +78,7 @@ class PeerGroupParent final : public sim::RpcActor {
                   ByteView payload, ReplyFn reply) override;
 
  private:
-  void handle_join(NodeId from, const proto::GroupJoinReq& req, ReplyFn reply);
+  void handle_join(const proto::GroupJoinReq& req, ReplyFn reply);
   void handle_leave(const proto::GroupLeaveReq& req);
   void handle_member_subscribe(NodeId from, const proto::SubscribeReq& req,
                                ReplyFn reply);
@@ -88,7 +89,6 @@ class PeerGroupParent final : public sim::RpcActor {
   void rebuild_epaxos();
   void heartbeat_tick();
   void on_group_deliver(const consensus::Command& cmd);
-  void drain_apply_queue();
 
   // Sync point: forward group transactions to the DC in visibility order,
   // skipping over entries whose dependencies are not yet resolved.
@@ -113,8 +113,8 @@ class PeerGroupParent final : public sim::RpcActor {
   proto::PushChannelRecv dc_recv_;
 
   std::unique_ptr<consensus::Epaxos> epaxos_;
-  std::map<ObjectKey, std::uint64_t> seen_per_key_;
-  std::deque<Dot> apply_queue_;
+  /// The group's SI order, as every member derives it.
+  SiOrder si_order_;
 
   std::deque<Dot> forward_queue_;
   std::set<Dot> in_flight_;  // forwards awaiting their DC ack

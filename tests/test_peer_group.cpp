@@ -3,6 +3,8 @@
 // commit variants.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "colony/cluster.hpp"
 #include "colony/session.hpp"
 #include "crdt/counter.hpp"
@@ -270,6 +272,29 @@ TEST(PeerGroup, OrderedCommitsSucceedWhenDisjoint) {
   }
   fx.cluster->run_for(3 * kSecond);
   EXPECT_EQ(ok_count, 2);  // non-conflicting: both commit in parallel
+}
+
+// A member that leaves before consensus orders its PSI commit still answers
+// the caller: the outcome is unknown (other members may order it), so the
+// callback reports kUnavailable, exactly once.
+TEST(PeerGroup, OrderedCommitCallbackFiresWhenMemberLeaves) {
+  GroupFixture fx(2);
+  fx.join_all();
+  fx.cluster->run_for(1 * kSecond);
+
+  int calls = 0;
+  std::optional<Error::Code> code;
+  auto txn = fx.sessions[0]->begin();
+  fx.sessions[0]->increment(txn, kX, 1);
+  fx.sessions[0]->commit_ordered(std::move(txn), [&](Result<Dot> r) {
+    ++calls;
+    if (!r.ok()) code = r.error().code;
+  });
+  fx.nodes[0]->leave_group([](Result<void>) {});
+  fx.cluster->run_for(3 * kSecond);
+  EXPECT_FALSE(fx.nodes[0]->in_group());
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, Error::Code::kUnavailable);
 }
 
 TEST(PeerGroup, JoinRejectedWhenAheadOfParent) {

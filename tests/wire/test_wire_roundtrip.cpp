@@ -191,7 +191,8 @@ TEST(WireRoundTrip, GroupCommand) {
   Rng rng(0xC01051);
   for (int i = 0; i < kIters; ++i) {
     const auto cmd = fuzz<proto::GroupCommand>(rng);
-    ASSERT_EQ(proto::GroupCommand::from_bytes(cmd.to_bytes()), cmd);
+    ASSERT_EQ(codec::from_bytes<proto::GroupCommand>(codec::to_bytes(cmd)),
+              cmd);
   }
 }
 
