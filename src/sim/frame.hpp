@@ -2,12 +2,14 @@
 // every message crosses a link in (sim::Network) and every durable record is
 // logged in (storage::Wal).
 //
-//   [ kind u32 | len u32 | payload[len] | crc32 u32 ]   (little-endian)
+//   [ kind u32 | len u32 | payload[len] | crc32c u32 ]   (little-endian)
 //
-// The CRC covers header and payload. A frame that is truncated, whose length
-// prefix overruns its buffer, or whose checksum disagrees is rejected, so any
-// flipped bit surfaces as loss (transport) or as a torn tail (WAL) — never as
-// a wrong value.
+// The CRC-32C covers header and payload. It runs on the SSE4.2 `crc32`
+// instruction when the CPU has it (checked once, at first use) and on a
+// slicing-by-8 table otherwise; both give the same value. A frame that is
+// truncated, whose length prefix overruns its buffer, or whose checksum
+// disagrees is rejected, so any flipped bit surfaces as loss (transport) or
+// as a torn tail (WAL) — never as a wrong value.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +20,24 @@
 namespace colony::sim::frame {
 
 inline constexpr std::size_t kHeaderBytes = 8;   // kind u32 + length u32
-inline constexpr std::size_t kTrailerBytes = 4;  // crc32 of header+payload
+inline constexpr std::size_t kTrailerBytes = 4;  // crc32c of header+payload
 inline constexpr std::size_t kOverheadBytes = kHeaderBytes + kTrailerBytes;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the frame
+/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78): the frame
 /// checksum.
-[[nodiscard]] std::uint32_t crc32(ByteView data);
+[[nodiscard]] std::uint32_t crc32c(ByteView data);
+
+/// The two paths behind crc32c, declared for the tests and micro benches.
+namespace detail {
+
+/// Slicing-by-8 tables: the path on CPUs without SSE4.2.
+[[nodiscard]] std::uint32_t crc32c_portable(ByteView data);
+
+/// The SSE4.2 path, or nullptr when this CPU (or a non-x86 build) lacks it.
+using Crc32cFn = std::uint32_t (*)(ByteView);
+[[nodiscard]] Crc32cFn crc32c_hardware();
+
+}  // namespace detail
 
 /// Write one frame in place at the end of `stream` (a stream of frames, or
 /// an empty buffer). `payload` must not alias `stream`.

@@ -53,16 +53,24 @@ TEST(WireFrame, EmptyPayloadIsPureOverhead) {
 }
 
 TEST(WireFrame, DetectsEveryByteFlip) {
-  const Bytes payload{10, 20, 30, 40, 50};
-  const Bytes frm = sim::frame::encode(7, payload);
-  // Flip each byte of the frame in turn — header, payload, and trailer
-  // damage must all be caught: corruption surfaces as loss, never as a
-  // wrong value.
-  for (std::size_t i = 0; i < frm.size(); ++i) {
-    Bytes damaged = frm;
-    damaged[i] ^= 0x5a;
-    EXPECT_FALSE(sim::frame::decode_view(damaged).has_value())
-        << "flip at byte " << i << " went undetected";
+  // A short frame, and one whose payload runs through the checksum's
+  // 8-byte loop several times before its byte tail.
+  Bytes long_payload(77);
+  for (std::size_t i = 0; i < long_payload.size(); ++i) {
+    long_payload[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (const Bytes& payload : {Bytes{10, 20, 30, 40, 50}, long_payload}) {
+    const Bytes frm = sim::frame::encode(7, payload);
+    // Flip each byte of the frame in turn — header, payload, and trailer
+    // damage must all be caught: corruption surfaces as loss, never as a
+    // wrong value.
+    for (std::size_t i = 0; i < frm.size(); ++i) {
+      Bytes damaged = frm;
+      damaged[i] ^= 0x5a;
+      EXPECT_FALSE(sim::frame::decode_view(damaged).has_value())
+          << "flip at byte " << i << " of a " << frm.size()
+          << "-byte frame went undetected";
+    }
   }
 }
 
@@ -87,14 +95,67 @@ TEST(WireFrame, RejectsTrailingGarbageAndLengthMismatch) {
 TEST(WireFrame, Crc32KnownAnswer) {
   const std::string check = "123456789";
   const Bytes input(check.begin(), check.end());
-  EXPECT_EQ(sim::frame::crc32(input), 0xCBF43926u);
+  EXPECT_EQ(sim::frame::crc32c(input), 0xE3069283u);
+  // RFC 3720 (iSCSI) appendix B.4.
+  Bytes ascending(32), descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  EXPECT_EQ(sim::frame::crc32c(Bytes(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(sim::frame::crc32c(Bytes(32, 0xFF)), 0x62A8AB43u);
+  EXPECT_EQ(sim::frame::crc32c(ascending), 0x46DD794Eu);
+  EXPECT_EQ(sim::frame::crc32c(descending), 0x113FDB5Cu);
+}
+
+// The CRC-32C one bit at a time: the reference both checksum paths must
+// match.
+std::uint32_t bitwise_crc32c(ByteView data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? 0x82F63B78u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(WireFrame, ChecksumPathsAgreeAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLength = 1100;
+  constexpr std::size_t kMaxOffset = 7;
+  Bytes buffer(kMaxOffset + kMaxLength);
+  std::uint32_t state = 0x12345678u;  // fixed seed, xorshift32
+  for (std::uint8_t& byte : buffer) {
+    state ^= state << 13;
+    state ^= state >> 17;
+    state ^= state << 5;
+    byte = static_cast<std::uint8_t>(state);
+  }
+  const sim::frame::detail::Crc32cFn hardware =
+      sim::frame::detail::crc32c_hardware();
+  for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLength; ++len) {
+      const ByteView data = ByteView(buffer).subspan(offset, len);
+      const std::uint32_t want = bitwise_crc32c(data);
+      ASSERT_EQ(sim::frame::detail::crc32c_portable(data), want)
+          << "portable path, offset " << offset << ", length " << len;
+      if (hardware != nullptr) {
+        ASSERT_EQ(hardware(data), want)
+            << "hardware path, offset " << offset << ", length " << len;
+      }
+    }
+  }
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU: only the portable path checked";
+  }
 }
 
 TEST(WireFrame, GoldenFrameBytes) {
   const Bytes golden{0x07, 0x00, 0x00, 0x00,   // kind 7
                      0x04, 0x00, 0x00, 0x00,   // payload length 4
                      0x01, 0x02, 0x03, 0x04,   // payload
-                     0xcb, 0x05, 0x7f, 0x1c};  // crc32 of the 12 bytes above
+                     0x93, 0xdc, 0x7f, 0xfd};  // crc32c of the 12 bytes above
   EXPECT_EQ(sim::frame::encode(7, Bytes{1, 2, 3, 4}), golden);
   Bytes appended{0xee};
   sim::frame::append(appended, 7, Bytes{1, 2, 3, 4});
