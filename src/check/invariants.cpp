@@ -289,17 +289,9 @@ void check_exactly_once(const Cluster& cluster, Report& report) {
 
 void check_durability(const Cluster& cluster, Report& report) {
   std::string why;
-  for (DcId d = 0; d < cluster.num_dcs(); ++d) {
-    if (!cluster.dc(d).verify_recovery(&why)) {
-      report.add("durability",
-                 replica_name(d) + " recovery diverges: " + why);
-    }
-  }
-  for (std::size_t i = 0; i < cluster.num_edges(); ++i) {
-    const EdgeNode& edge = cluster.edge(i);
-    if (!edge.verify_recovery(&why)) {
-      report.add("durability",
-                 replica_name(edge) + " recovery diverges: " + why);
+  for (const storage::DurableNode* node : cluster.durable_nodes()) {
+    if (!node->verify_recovery(&why)) {
+      report.add("durability", "recovery diverges: " + why);
     }
   }
 }

@@ -49,6 +49,7 @@ Cluster::Cluster(ClusterConfig config)
     dc_config.disk = disk.get();
     dcs_.push_back(std::make_unique<DcNode>(net_, dc_node_id(d), dc_config,
                                             std::move(peers), shard_ids[d]));
+    durable_[dc_node_id(d)] = dcs_.back().get();
   }
 
   // Full DC mesh.
@@ -72,6 +73,7 @@ EdgeNode& Cluster::add_edge(ClientMode mode, DcId dc, UserId user,
   disk = std::make_unique<storage::Wal>();
   cfg.disk = disk.get();
   edges_.push_back(std::make_unique<EdgeNode>(net_, id, cfg));
+  durable_[id] = edges_.back().get();
   for (DcId d = 0; d < config_.num_dcs; ++d) {
     net_.connect(id, dc_node_id(d), config_.edge_uplink);
   }
@@ -112,34 +114,14 @@ void Cluster::set_peer_links(NodeId node, const std::vector<NodeId>& peers,
 }
 
 void Cluster::crash_node(NodeId node) {
-  if (disks_.find(node) == disks_.end()) return;  // diskless: plain outage
-  for (auto& dc : dcs_) {
-    if (dc->id() == node) {
-      if (!dc->crashed()) dc->crash();
-      return;
-    }
-  }
-  for (auto& edge : edges_) {
-    if (edge->id() == node) {
-      if (!edge->crashed()) edge->crash();
-      return;
-    }
-  }
+  const auto it = durable_.find(node);
+  if (it == durable_.end()) return;  // not durable: plain outage
+  if (!it->second->crashed()) it->second->crash();
 }
 
 void Cluster::restart_node(NodeId node) {
-  for (auto& dc : dcs_) {
-    if (dc->id() == node) {
-      if (dc->crashed()) dc->recover();
-      return;
-    }
-  }
-  for (auto& edge : edges_) {
-    if (edge->id() == node) {
-      if (edge->crashed()) edge->recover();
-      return;
-    }
-  }
+  const auto it = durable_.find(node);
+  if (it != durable_.end() && it->second->crashed()) it->second->recover();
 }
 
 std::vector<NodeId> Cluster::dc_node_ids() const {
@@ -147,6 +129,13 @@ std::vector<NodeId> Cluster::dc_node_ids() const {
   ids.reserve(config_.num_dcs);
   for (DcId d = 0; d < config_.num_dcs; ++d) ids.push_back(dc_node_id(d));
   return ids;
+}
+
+std::vector<const storage::DurableNode*> Cluster::durable_nodes() const {
+  std::vector<const storage::DurableNode*> nodes;
+  nodes.reserve(durable_.size());
+  for (const auto& [id, node] : durable_) nodes.push_back(node);
+  return nodes;
 }
 
 std::vector<NodeId> Cluster::edge_node_ids() const {

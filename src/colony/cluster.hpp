@@ -16,6 +16,7 @@
 #include "group/peer_group.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "storage/durable_node.hpp"
 #include "storage/wal.hpp"
 
 namespace colony {
@@ -71,6 +72,8 @@ class Cluster {
   }
   [[nodiscard]] std::vector<NodeId> dc_node_ids() const;
   [[nodiscard]] std::vector<NodeId> edge_node_ids() const;
+  /// Every WAL-backed node (the DCs, then the edges), in node-id order.
+  [[nodiscard]] std::vector<const storage::DurableNode*> durable_nodes() const;
   sim::Scheduler& scheduler() { return sched_; }
   sim::Network& network() { return net_; }
   [[nodiscard]] const sim::Network& network() const { return net_; }
@@ -90,8 +93,8 @@ class Cluster {
   void set_peer_links(NodeId node, const std::vector<NodeId>& peers, bool up);
 
   /// Crash a DC or edge node: wipe its volatile state and drop everything in
-  /// flight. No-op for node ids without a WAL (shards, group parents) — the
-  /// fault degrades to whatever link faults accompany it.
+  /// flight. No-op for node ids that are not durable nodes (shards, group
+  /// parents) — the fault degrades to whatever link faults accompany it.
   void crash_node(NodeId node);
   /// Restart a previously crashed node from its WAL. No-op if the node is
   /// unknown or not crashed.
@@ -129,6 +132,8 @@ class Cluster {
   /// One durable log per DC / edge node, keyed by node id. Owned here so a
   /// "process" (the node object) can lose everything while its disk survives.
   std::map<NodeId, std::unique_ptr<storage::Wal>> disks_;
+  /// The node each of those disks backs.
+  std::map<NodeId, storage::DurableNode*> durable_;
   NodeId next_node_id_ = 10'000;
 };
 

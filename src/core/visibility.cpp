@@ -151,7 +151,7 @@ void VisibilityEngine::apply_unscheduled(const Transaction& txn) {
   if (masked) mark_masked(dot, txn);
   log_.append(dot);
   if (txn.meta.concrete) advance_state(txn.meta);
-  if (visible_hook_ != nullptr && !masked) visible_hook_(txn);
+  if (!masked) on_visible(txn);
   if (pending_set_.contains(dot)) remove_pending(dot);
   fire_apply_event(dot);
   pump();
@@ -441,9 +441,21 @@ bool VisibilityEngine::try_apply(const Dot& dot) {
   if (masked) mark_masked(dot, *txn);
   log_.append(dot);
   advance_state(txn->meta);
-  if (visible_hook_ != nullptr && !masked) visible_hook_(*txn);
+  if (!masked) on_visible(*txn);
   fire_apply_event(dot);
   return true;
+}
+
+void VisibilityEngine::on_visible(const Transaction& txn) {
+  // A policy update re-evaluates the security mask over the history
+  // (sections 5.3, 6.4): previously visible values may disappear and
+  // previously masked ones may surface.
+  if (policy_key_ != ObjectKey{} &&
+      std::any_of(txn.ops.begin(), txn.ops.end(),
+                  [&](const OpRecord& op) { return op.key == policy_key_; })) {
+    recompute_masks();
+  }
+  if (visible_hook_ != nullptr) visible_hook_(txn);
 }
 
 void VisibilityEngine::pump() {

@@ -139,10 +139,12 @@ class VisibilityEngine {
     return security_check_;
   }
 
-  /// Key of the policy object itself. Transactions touching it keep their
-  /// at-apply mask decision during recompute_masks: re-judging an
-  /// administrative change under the policy it created would let a
-  /// bootstrap grant mask itself.
+  /// Key of the policy object itself. A visible transaction writing it
+  /// re-evaluates the masks (recompute_masks) just before the visible hook
+  /// runs. Transactions touching it keep their at-apply mask decision
+  /// during recompute_masks: re-judging an administrative change under the
+  /// policy it created would let a bootstrap grant mask itself. Unset (the
+  /// default), no transaction is a policy write.
   void set_policy_key(ObjectKey key) { policy_key_ = std::move(key); }
   [[nodiscard]] const ObjectKey& policy_key() const { return policy_key_; }
   void set_visible_hook(VisibleHook hook) { visible_hook_ = std::move(hook); }
@@ -225,6 +227,9 @@ class VisibilityEngine {
   /// state wakes of every component that moved.
   void advance_state(const TxnMeta& meta);
   void mark_masked(const Dot& dot, const Transaction& txn);
+  /// An unmasked transaction became visible: re-evaluate the masks if it
+  /// writes the policy, then run the visible hook.
+  void on_visible(const Transaction& txn);
   /// Shared tail of resolve/resolve_full: the record's commit info changed.
   void on_resolution(const Dot& dot);
 

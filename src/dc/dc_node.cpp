@@ -7,9 +7,17 @@
 
 namespace colony {
 
+namespace {
+/// Bake K-stable journal prefixes into base versions every N gossips.
+constexpr std::size_t kBaseAdvanceEvery = 50;
+/// CPU cost of a cloud-mode transaction execution (kDcExecute): more than a
+/// plain session RPC, since it fans out shard reads and runs 2PC.
+constexpr SimTime kExecuteServiceTime = 225 * kMicrosecond;
+}  // namespace
+
 DcNode::DcNode(sim::Network& net, NodeId id, DcConfig config,
                std::vector<NodeId> peers, std::vector<NodeId> shards)
-    : RpcActor(net, id),
+    : DurableNode(net, id, config.disk, config.checkpoint_interval),
       config_(config),
       peers_(std::move(peers)),
       shard_nodes_(std::move(shards)),
@@ -30,19 +38,12 @@ DcNode::DcNode(sim::Network& net, NodeId id, DcConfig config,
   engine_.set_sequential_components(true);
   engine_.set_visible_hook(
       [this](const Transaction& txn) { on_txn_visible(txn); });
-  engine_.set_security_check([this](const Transaction& txn) {
-    return security::txn_allowed(acl(), txn);
-  });
-  engine_.set_policy_key(security::acl_object_key());
-
-  schedule_gossip();
-  if (config_.disk != nullptr) schedule_checkpoint();
+  security::install_policy(engine_, store_);
+  start();
 }
 
 const security::AclObject* DcNode::acl() const {
-  const Crdt* obj = store_.current(security::acl_object_key());
-  return obj == nullptr ? nullptr
-                        : dynamic_cast<const security::AclObject*>(obj);
+  return security::current_policy(store_);
 }
 
 // ---------------------------------------------------------------------------
@@ -50,15 +51,6 @@ const security::AclObject* DcNode::acl() const {
 // ---------------------------------------------------------------------------
 
 void DcNode::on_txn_visible(const Transaction& txn) {
-  // A policy update re-evaluates the security mask over the history
-  // (sections 5.3, 6.4): previously visible values may disappear and
-  // previously masked ones may surface.
-  for (const OpRecord& op : txn.ops) {
-    if (op.key == security::acl_object_key()) {
-      engine_.recompute_masks();
-      break;
-    }
-  }
   fan_out_to_shards(txn);
   // Parked migrated transactions may now have their snapshot.
   if (!waiting_execs_.empty()) {
@@ -75,7 +67,7 @@ void DcNode::on_txn_visible(const Transaction& txn) {
       handle_dc_execute(w.from, w.req, std::move(w.reply));
     }
   }
-  if (txn.meta.accepted_by(config_.dc_id) && !recovering_) {
+  if (txn.meta.accepted_by(config_.dc_id) && !recovering()) {
     // This DC sequenced the transaction: replicate it over the mesh in
     // commit order (per-link FIFO preserves it). Suppressed during WAL
     // replay — the live run already replicated, and anti-entropy repairs
@@ -92,7 +84,7 @@ void DcNode::on_txn_visible(const Transaction& txn) {
 void DcNode::fan_out_to_shards(const Transaction& txn) {
   // WAL replay rebuilds only this node; shards keep (or separately rebuild)
   // their own state, and re-fanning the history out would double-apply.
-  if (recovering_) return;
+  if (recovering()) return;
   const Timestamp seq = engine_.log().size();
   std::map<std::uint32_t, std::vector<OpRecord>> by_shard;
   for (const OpRecord& op : txn.ops) {
@@ -163,11 +155,11 @@ void DcNode::gossip_tick() {
   }
   push_sessions(/*announce=*/true);
 
-  if (++gossip_count_ % config_.base_advance_every == 0) {
+  if (++gossip_count_ % kBaseAdvanceEvery == 0) {
     // Baking bases folds K-stable journal prefixes into base versions —
     // a destructive, cut-dependent rewrite. Log it so replay re-bakes at
     // the same point with the same cut (gossip records restored it).
-    log_record(kWalDcAdvanceBase, Encoder{});
+    log_record(kWalDcAdvanceBase, [](Encoder& /*rec*/) {});
     advance_bases();
   }
   schedule_gossip();
@@ -182,15 +174,11 @@ void DcNode::advance_bases() {
 
 void DcNode::handle_gossip(NodeId from, const proto::DcGossip& msg) {
   COLONY_ASSERT(msg.dc < dc_states_.size(), "gossip from unknown DC");
-  if (wal_enabled()) {
-    // Gossip advances dc_states_, which advance_bases() bakes into journal
-    // base versions — so the merged vectors must be reproducible at each
-    // logged base advance. Log the message, not the merged result: replay
-    // re-runs this handler.
-    Encoder rec;
-    codec::write(rec, msg);
-    log_record(kWalDcGossip, rec);
-  }
+  // Gossip advances dc_states_, which advance_bases() bakes into journal
+  // base versions — so the merged vectors must be reproducible at each
+  // logged base advance. Log the message, not the merged result: replay
+  // re-runs this handler.
+  log_record(kWalDcGossip, [&](Encoder& rec) { codec::write(rec, msg); });
   dc_states_[msg.dc].merge(msg.state);
 
   // Anti-entropy: replication is fire-and-forget, so a mesh partition can
@@ -198,7 +186,7 @@ void DcNode::handle_gossip(NodeId from, const proto::DcGossip& msg) {
   // the suffix of our commit stream the peer is missing. Suppressed during
   // WAL replay (the peer is not actually behind; `from` is synthetic).
   const Timestamp peer_has = msg.state.at(config_.dc_id);
-  if (peer_has < commit_counter_ && !recovering_) {
+  if (peer_has < commit_counter_ && !recovering()) {
     for (std::size_t i = static_cast<std::size_t>(peer_has);
          i < my_commits_.size(); ++i) {
       const Transaction* txn = txns_.find(my_commits_[i]);
@@ -218,7 +206,7 @@ void DcNode::handle_gossip(NodeId from, const proto::DcGossip& msg) {
 void DcNode::push_sessions(bool announce) {
   // No pushes during WAL replay: the sequence stream must not advance past
   // what the live run handed to the network (sessions resync on restart).
-  if (recovering_) return;
+  if (recovering()) return;
   for (auto& [node, session] : sessions_) {
     push_session(node, session, announce);
   }
@@ -321,6 +309,18 @@ void DcNode::resync_session(EdgeSession& session) {
   session.last_cut_sent = VersionVector{};
 }
 
+void DcNode::open_cursor(EdgeSession& session,
+                         const VersionVector& cut) const {
+  if (session.cursor != 0) return;  // already open
+  const auto& log = engine_.log().entries();
+  std::size_t boundary = 0;
+  while (boundary < log.size() && txns_.visible_at(log[boundary], cut)) {
+    ++boundary;
+  }
+  session.cursor = boundary;
+  session.acked = boundary;
+}
+
 // ---------------------------------------------------------------------------
 // Commit paths.
 // ---------------------------------------------------------------------------
@@ -329,16 +329,19 @@ Timestamp DcNode::commit_here(Transaction txn) {
   const Timestamp ts = ++commit_counter_;
   txn.meta.mark_accepted(config_.dc_id, ts);
   my_commits_.push_back(txn.meta.dot);
-  if (wal_enabled()) {
-    // Logged post-mark: the record carries the assigned timestamp, and
-    // replay (which runs back through this function) asserts the counter
-    // re-derives it.
-    Encoder rec;
-    txn.encode(rec);
-    log_record(kWalDcCommit, rec);
-  }
+  // Logged post-mark: the record carries the assigned timestamp, and
+  // replay (which runs back through this function) asserts the counter
+  // re-derives it.
+  log_record(kWalDcCommit, [&](Encoder& rec) { txn.encode(rec); });
   engine_.ingest(std::move(txn));
   return ts;
+}
+
+std::uint64_t DcNode::fresh_counter() {
+  const std::uint64_t counter = local_dot_counter_ + 1;
+  log_record(kWalDcDot, [&](Encoder& rec) { rec.u64(counter); });
+  local_dot_counter_ = counter;
+  return counter;
 }
 
 void DcNode::handle_edge_commit(NodeId /*from*/,
@@ -420,14 +423,7 @@ void DcNode::handle_dc_execute(NodeId from, const proto::DcExecuteReq& req,
     for (const OpRecord& op : ctx->req.updates) {
       by_shard[ring_.owner(op.key)].push_back(op);
     }
-    const std::uint64_t txn_id = ++local_dot_counter_;
-    if (wal_enabled()) {
-      // The counter mints dots; reusing one after a restart would alias
-      // two distinct transactions. Both bump sites log the new value.
-      Encoder rec;
-      rec.u64(local_dot_counter_);
-      log_record(kWalDcDot, rec);
-    }
+    const std::uint64_t txn_id = fresh_counter();
     auto votes = std::make_shared<std::size_t>(by_shard.size());
     auto ok = std::make_shared<bool>(true);
     for (const auto& [shard, ops] : by_shard) {
@@ -450,12 +446,7 @@ void DcNode::handle_dc_execute(NodeId from, const proto::DcExecuteReq& req,
              }
              // All voted commit: sequence the transaction.
              Transaction txn;
-             txn.meta.dot = Dot{id(), ++local_dot_counter_};
-             if (wal_enabled()) {
-               Encoder rec;
-               rec.u64(local_dot_counter_);
-               log_record(kWalDcDot, rec);
-             }
+             txn.meta.dot = Dot{id(), fresh_counter()};
              txn.meta.origin = id();
              txn.meta.user = ctx->req.user;
              txn.meta.snapshot = engine_.state_vector();
@@ -508,18 +499,9 @@ void DcNode::handle_subscribe(NodeId from, const proto::SubscribeReq& req,
                               ReplyFn reply) {
   EdgeSession& session = sessions_[from];
   session.user = req.user;
-  if (session.cursor == 0) {
-    // Fresh session: start pushing from the current K-stable boundary; the
-    // snapshots below carry the history.
-    const auto& log = engine_.log().entries();
-    std::size_t boundary = 0;
-    while (boundary < log.size() &&
-           txns_.visible_at(log[boundary], k_cut_)) {
-      ++boundary;
-    }
-    session.cursor = boundary;
-    session.acked = boundary;
-  }
+  // A fresh session starts pushing from the current K-stable boundary; the
+  // snapshots below carry the history.
+  open_cursor(session, k_cut_);
   proto::SubscribeResp resp;
   resp.cut = session_cut(session);
   for (const ObjectKey& key : req.keys) {
@@ -539,16 +521,7 @@ void DcNode::handle_fetch(NodeId from, const proto::FetchReq& req,
     EdgeSession& session = sessions_[from];
     if (req.user != 0) session.user = req.user;
     session.interest.insert(req.key);
-    if (session.cursor == 0) {
-      const auto& log = engine_.log().entries();
-      std::size_t boundary = 0;
-      while (boundary < log.size() &&
-             txns_.visible_at(log[boundary], k_cut_)) {
-        ++boundary;
-      }
-      session.cursor = boundary;
-      session.acked = boundary;
-    }
+    open_cursor(session, k_cut_);
     log_session(from, session);
   }
   auto snap = export_k_stable(req.key);
@@ -580,25 +553,16 @@ void DcNode::handle_migrate(NodeId from, const proto::MigrateReq& req,
   EdgeSession& session = sessions_[from];
   session.user = req.user;
   session.interest.insert(req.interest.begin(), req.interest.end());
-  if (session.cursor == 0) {
-    // Unlike a fresh subscription (which starts at the K-stable boundary
-    // because the snapshots in the reply carry the history), a migrated
-    // session must backfill from the first log entry the edge does not
-    // provably possess: entries between that point and our boundary may
-    // only ever arrive over this channel — the old DC can be partitioned,
-    // crashed, or simply behind. The scan uses the edge's possessed cut,
-    // not its state vector (which read-my-writes resolution inflates past
-    // possession). Entries the edge did get over its old channel are
-    // dropped by its dot filter.
-    const auto& log = engine_.log().entries();
-    std::size_t boundary = 0;
-    while (boundary < log.size() &&
-           txns_.visible_at(log[boundary], req.possessed)) {
-      ++boundary;
-    }
-    session.cursor = boundary;
-    session.acked = boundary;
-  }
+  // Unlike a fresh subscription (which starts at the K-stable boundary
+  // because the snapshots in the reply carry the history), a migrated
+  // session must backfill from the first log entry the edge does not
+  // provably possess: entries between that point and our boundary may only
+  // ever arrive over this channel — the old DC can be partitioned, crashed,
+  // or simply behind. The scan uses the edge's possessed cut, not its state
+  // vector (which read-my-writes resolution inflates past possession).
+  // Entries the edge did get over its old channel are dropped by its dot
+  // filter.
+  open_cursor(session, req.possessed);
   log_session(from, session);
   resp.compatible = true;
   reply(codec::to_bytes(resp));
@@ -609,11 +573,7 @@ void DcNode::handle_migrate(NodeId from, const proto::MigrateReq& req,
 // ---------------------------------------------------------------------------
 
 void DcNode::handle_replicate(const proto::ReplicateTxn& msg) {
-  if (wal_enabled()) {
-    Encoder rec;
-    msg.txn.encode(rec);
-    log_record(kWalDcIngest, rec);
-  }
+  log_record(kWalDcIngest, [&](Encoder& rec) { msg.txn.encode(rec); });
   engine_.ingest(msg.txn);
   dc_states_[config_.dc_id] = engine_.state_vector();
   recompute_k_cut();
@@ -626,7 +586,7 @@ void DcNode::handle_replicate(const proto::ReplicateTxn& msg) {
 
 void DcNode::on_message(NodeId from, std::uint32_t kind,
                         ByteView body) {
-  if (crashed_) return;  // dead process: frames fall on the floor
+  if (crashed()) return;  // dead process: frames fall on the floor
   switch (kind) {
     case proto::kReplicateTxn:
       handle_replicate(codec::from_bytes<proto::ReplicateTxn>(body));
@@ -665,26 +625,23 @@ void DcNode::on_message(NodeId from, std::uint32_t kind,
 
 void DcNode::on_request(NodeId from, std::uint32_t method,
                         ByteView payload, ReplyFn reply) {
-  if (crashed_) return;  // dead process: the caller's RPC times out
+  if (crashed()) return;  // dead process: the caller's RPC times out
   // Client-facing requests queue behind the DC's logical CPU; the queueing
   // delay under load is what bends the Figure 4 latency curve upward.
   const SimTime service = method == proto::kDcExecute
-                              ? config_.execute_service_time
+                              ? kExecuteServiceTime
                               : config_.rpc_service_time;
   const SimTime start = std::max(net_.now(), busy_until_);
   busy_until_ = start + service;
   // The deferred dispatch outlives the delivered frame, so it owns a copy
   // of the payload (the one place the request path still materialises).
-  // It is stamped with the incarnation: a request queued behind the CPU
-  // when the node crashes must die with the old process image.
-  net_.scheduler().at(
-      busy_until_,
-      [this, inc = incarnation_, from, method,
-       payload = Bytes(payload.begin(), payload.end()),
-       reply = std::move(reply)]() mutable {
-        if (inc != incarnation_) return;
-        dispatch_request(from, method, payload, std::move(reply));
-      });
+  // A request queued behind the CPU when the node crashes dies with the
+  // old process image.
+  at(busy_until_, [this, from, method,
+                   payload = Bytes(payload.begin(), payload.end()),
+                   reply = std::move(reply)]() mutable {
+    dispatch_request(from, method, payload, std::move(reply));
+  });
 }
 
 void DcNode::dispatch_request(NodeId from, std::uint32_t method,
@@ -736,24 +693,17 @@ void DcNode::dispatch_request(NodeId from, std::uint32_t method,
 }
 
 // ---------------------------------------------------------------------------
-// Durability: WAL logging, checkpoints, crash, recovery.
+// Durability: the DC's record vocabulary, checkpoint and durable projection.
 // ---------------------------------------------------------------------------
 
-void DcNode::log_record(std::uint32_t type, const Encoder& payload) {
-  if (!wal_enabled()) return;
-  config_.disk->append(type, payload.data());
-}
-
 void DcNode::log_session(NodeId node, const EdgeSession& session) {
-  if (!wal_enabled()) return;
   // Durable session identity: who is subscribed to what, plus the channel
   // position at mutation time. The position goes stale as pushes and acks
   // advance it recordlessly — recovery compensates by reconnect-resyncing
   // every session, which rewinds to the acknowledged prefix and relies on
   // the subscriber's dot filter to drop re-pushed duplicates.
-  Encoder rec;
-  encode_session(rec, node, session);
-  log_record(kWalDcSession, rec);
+  log_record(kWalDcSession,
+             [&](Encoder& rec) { encode_session(rec, node, session); });
 }
 
 void DcNode::encode_session(Encoder& enc, NodeId node,
@@ -889,44 +839,10 @@ void DcNode::encode_durable(Encoder& enc) const {
 }
 
 void DcNode::schedule_gossip() {
-  net_.scheduler().after(config_.gossip_interval,
-                         [this, inc = incarnation_] {
-                           if (inc == incarnation_) gossip_tick();
-                         });
+  after<&DcNode::gossip_tick>(config_.gossip_interval);
 }
 
-void DcNode::schedule_checkpoint() {
-  net_.scheduler().after(config_.checkpoint_interval,
-                         [this, inc = incarnation_] {
-                           if (inc == incarnation_) checkpoint_tick();
-                         });
-}
-
-void DcNode::checkpoint_tick() {
-  if (config_.disk != nullptr && !crashed_ &&
-      config_.disk->records_since_checkpoint() > 0) {
-    // Between handlers the node is in a consistent state by construction
-    // (the scheduler never preempts a handler), so the snapshot is a clean
-    // cut of the record log.
-    Encoder snapshot;
-    encode_checkpoint(snapshot);
-    config_.disk->write_checkpoint(snapshot.data());
-    // The checkpoint makes every earlier record redundant: reclaim the log
-    // prefix (and superseded checkpoints) behind it.
-    config_.disk->truncate_to_checkpoint();
-  }
-  schedule_checkpoint();
-}
-
-void DcNode::crash() {
-  COLONY_ASSERT(config_.disk != nullptr,
-                "crash() on a node without durable storage");
-  crashed_ = true;
-  // Kill the old process image: timer chains and deferred dispatches check
-  // the incarnation before touching the node, and in-flight RPC
-  // continuations are forgotten outright.
-  ++incarnation_;
-  abort_pending_calls();
+void DcNode::wipe() {
   busy_until_ = 0;
   waiting_execs_.clear();
   sessions_.clear();
@@ -942,65 +858,21 @@ void DcNode::crash() {
   engine_.reset();
 }
 
-void DcNode::recover(bool reconnect) {
-  COLONY_ASSERT(config_.disk != nullptr,
-                "recover() on a node without durable storage");
-  const storage::WalRecovery rec = config_.disk->recover();
-  crashed_ = false;
-  recovering_ = true;
-  if (rec.checkpoint.has_value()) decode_checkpoint(*rec.checkpoint);
-  for (const storage::WalRecord& record : rec.tail) {
-    replay_record(record.type, record.payload);
-  }
-  // Re-establish the standing invariant that this DC's own dc_states_
-  // entry tracks its state vector (every live handler maintains it).
+void DcNode::after_replay() {
   dc_states_[config_.dc_id] = engine_.state_vector();
   recompute_k_cut();
-  recovering_ = false;
-  if (rec.torn) config_.disk->truncate_to(rec.valid_bytes);
-  if (reconnect) {
-    // A second bump separates the restarted process from the recovery
-    // itself: recover() on an already-running node (double restart) kills
-    // the previous incarnation's timer chains instead of doubling them.
-    ++incarnation_;
-    for (auto& [node, session] : sessions_) session.connected = false;
-    schedule_gossip();
-    schedule_checkpoint();
-  }
 }
 
-Bytes DcNode::durable_bytes() const {
-  Encoder enc;
-  encode_durable(enc);
-  return enc.take();
+void DcNode::on_start() {
+  for (auto& [node, session] : sessions_) session.connected = false;
+  schedule_gossip();
 }
 
-bool DcNode::verify_recovery(std::string* why) const {
-  if (config_.disk == nullptr || crashed_) return true;
-  // Offline replica: a private scheduler and network so the probe cannot
-  // interact with the live simulation, and a copy of the disk so recovery
-  // cleanup cannot touch the real streams.
-  sim::Scheduler scheduler;
-  sim::Network net(scheduler, /*seed=*/1);
-  storage::Wal disk(*config_.disk);
+std::unique_ptr<storage::DurableNode> DcNode::make_replica(
+    sim::Network& net, storage::Wal& disk) const {
   DcConfig cfg = config_;
   cfg.disk = &disk;
-  DcNode replica(net, id(), cfg, peers_, shard_nodes_);
-  replica.recover(/*reconnect=*/false);
-  Encoder mine;
-  Encoder theirs;
-  encode_durable(mine);
-  replica.encode_durable(theirs);
-  if (mine.data() == theirs.data()) return true;
-  if (why != nullptr) {
-    *why = "DC " + std::to_string(config_.dc_id) +
-           " durable projection diverges after recovery: live " +
-           std::to_string(mine.size()) + "B vs replica " +
-           std::to_string(theirs.size()) + "B (commit counters " +
-           std::to_string(commit_counter_) + " vs " +
-           std::to_string(replica.commit_counter_) + ")";
-  }
-  return false;
+  return std::make_unique<DcNode>(net, id(), cfg, peers_, shard_nodes_);
 }
 
 }  // namespace colony

@@ -23,10 +23,9 @@
 #include "dc/messages.hpp"
 #include "security/acl.hpp"
 #include "security/crypto_sim.hpp"
-#include "sim/rpc.hpp"
+#include "storage/durable_node.hpp"
 #include "storage/hash_ring.hpp"
 #include "storage/journal_store.hpp"
-#include "storage/wal.hpp"
 #include "util/metrics.hpp"
 
 namespace colony {
@@ -38,8 +37,6 @@ struct DcConfig {
   /// only once >= K DCs know it (section 3.8). 1 <= K <= num_dcs.
   std::size_t k_stability = 1;
   SimTime gossip_interval = 100 * kMillisecond;
-  /// Bake K-stable journal prefixes into base versions every N gossips.
-  std::size_t base_advance_every = 50;
   /// Seed of the session-key service. All DCs of a deployment share it so
   /// a client can open a session at any DC (the authentication service is
   /// logically one, section 6.2).
@@ -49,9 +46,6 @@ struct DcConfig {
   /// in Figure 4. Scale rpc_service_time down for bigger DCs.
   SimTime rpc_service_time = 150 * kMicrosecond;
   SimTime push_service_time = 15 * kMicrosecond;
-  /// A cloud-mode transaction execution (kDcExecute) costs more than a
-  /// plain session RPC: it fans out shard reads and runs 2PC internally.
-  SimTime execute_service_time = 225 * kMicrosecond;
   /// Durable write-ahead log, owned by the topology builder (the node only
   /// writes through the pointer). nullptr = no durability: such a node must
   /// never be crash-restarted (Cluster::crash_node degrades the fault to a
@@ -63,7 +57,10 @@ struct DcConfig {
   SimTime checkpoint_interval = 400 * kMillisecond;
 };
 
-class DcNode final : public sim::RpcActor {
+/// Crash, recover, verify_recovery and durable_bytes come from
+/// storage::DurableNode; a DC restart rewinds every session to its
+/// acknowledged prefix and restarts gossip.
+class DcNode final : public storage::DurableNode {
  public:
   /// `peers` are the other DC node ids; `shards` the shard-server node ids
   /// of this DC (the topology builder creates and links them).
@@ -86,31 +83,6 @@ class DcNode final : public sim::RpcActor {
 
   /// The DC's current view of the policy object (nullptr = open policy).
   [[nodiscard]] const security::AclObject* acl() const;
-
-  // --- durability (crash / restart) ---------------------------------------
-
-  /// Kill the process: every piece of in-memory state is wiped and every
-  /// outstanding RPC continuation forgotten. The node stays dead (traffic
-  /// is dropped by the network, timers from the old incarnation die) until
-  /// recover(). Requires a configured WAL — a node without one has nothing
-  /// to come back from.
-  void crash();
-
-  /// Rebuild the node from its WAL: newest intact checkpoint, then tail
-  /// replay through the same handler paths that produced the records. With
-  /// `reconnect` (the live-restart path) the gossip and checkpoint timers
-  /// restart and every session is rewound to its acknowledged prefix on
-  /// the next push round; verify_recovery's offline replica passes false.
-  void recover(bool reconnect = true);
-
-  /// Prove recoverability in place: build an offline replica from a copy
-  /// of the WAL and compare durable projections byte-for-byte.
-  [[nodiscard]] bool verify_recovery(std::string* why = nullptr) const;
-
-  /// The durable projection as bytes (the recovery invariant surface).
-  [[nodiscard]] Bytes durable_bytes() const;
-
-  [[nodiscard]] bool crashed() const { return crashed_; }
 
  protected:
   void on_message(NodeId from, std::uint32_t kind,
@@ -173,6 +145,9 @@ class DcNode final : public sim::RpcActor {
   /// dropped in-flight pushes. Replayed transactions are filtered by dot at
   /// the subscriber, so over-sending is safe.
   void resync_session(EdgeSession& session);
+  /// Open a new session's push cursor (and its acknowledged position) at
+  /// the first log entry not visible at `cut`; a no-op once it is open.
+  void open_cursor(EdgeSession& session, const VersionVector& cut) const;
   void gossip_tick();
   [[nodiscard]] JournalStore::DotPredicate k_stable_predicate() const;
   [[nodiscard]] std::optional<ObjectSnapshot> export_k_stable(
@@ -180,6 +155,9 @@ class DcNode final : public sim::RpcActor {
   /// Assign this DC's next commit timestamp to a (new) transaction and make
   /// it visible. `txn.meta` must have a resolved concrete snapshot.
   Timestamp commit_here(Transaction txn);
+  /// Mint the next DC-local counter value (2PC ids and dots). Logged:
+  /// reusing one after a restart would alias two distinct transactions.
+  std::uint64_t fresh_counter();
 
   // --- durability internals ------------------------------------------------
 
@@ -197,12 +175,6 @@ class DcNode final : public sim::RpcActor {
     kWalDcDot = 6,          // local_dot_counter_ after a bump
   };
 
-  /// Should a mutation be logged right now? False without a disk, during
-  /// WAL replay (records must not re-log themselves), and while crashed.
-  [[nodiscard]] bool wal_enabled() const {
-    return config_.disk != nullptr && !recovering_ && !crashed_;
-  }
-  void log_record(std::uint32_t type, const Encoder& payload);
   void log_session(NodeId node, const EdgeSession& session);
   /// The durable session record (identity plus channel position at write
   /// time), shared by kWalDcSession and the checkpoint. decode_session
@@ -210,19 +182,25 @@ class DcNode final : public sim::RpcActor {
   static void encode_session(Encoder& enc, NodeId node,
                              const EdgeSession& session);
   void decode_session(Decoder& dec);
-  void replay_record(std::uint32_t type, ByteView payload);
-  void encode_checkpoint(Encoder& enc) const;
-  void decode_checkpoint(ByteView snapshot);
+  void replay_record(std::uint32_t type, ByteView payload) override;
+  void encode_checkpoint(Encoder& enc) const override;
+  void decode_checkpoint(ByteView snapshot) override;
   /// The recovery-invariant projection: every field the WAL contract
   /// promises to restore exactly. Excludes volatile fields (CPU queue,
   /// parked executions, gossip cadence) and session progress counters.
-  void encode_durable(Encoder& enc) const;
+  void encode_durable(Encoder& enc) const override;
+  void wipe() override;
+  /// This DC's own dc_states_ entry tracks its state vector, and k_cut_
+  /// follows (every live handler maintains both).
+  void after_replay() override;
+  /// Rewind every session on the next push round and restart gossip.
+  void on_start() override;
+  [[nodiscard]] std::unique_ptr<storage::DurableNode> make_replica(
+      sim::Network& net, storage::Wal& disk) const override;
   /// Bake K-stable journal prefixes into base versions (gossip cadence
   /// live; replayed at the logged point during recovery).
   void advance_bases();
   void schedule_gossip();
-  void schedule_checkpoint();
-  void checkpoint_tick();
 
   DcConfig config_;
   std::vector<NodeId> peers_;
@@ -251,14 +229,6 @@ class DcNode final : public sim::RpcActor {
     ReplyFn reply;
   };
   std::vector<WaitingExec> waiting_execs_;
-
-  // Durability state. `incarnation_` stamps every timer chain and deferred
-  // dispatch this node schedules; crash() (and recover()) bump it so
-  // callbacks from a dead incarnation self-cancel instead of mutating the
-  // reborn node.
-  bool crashed_ = false;
-  bool recovering_ = false;  // replaying WAL: suppress logging & side effects
-  std::uint64_t incarnation_ = 0;
 };
 
 }  // namespace colony

@@ -7,6 +7,11 @@
 
 namespace colony {
 
+namespace {
+/// Pause before the commit pump re-sends after a failed DC commit.
+constexpr SimTime kRetryInterval = 500 * kMillisecond;
+}  // namespace
+
 const char* to_string(ClientMode m) {
   switch (m) {
     case ClientMode::kCloudOnly: return "cloud-only";
@@ -26,33 +31,21 @@ const char* to_string(ReadSource s) {
 }
 
 EdgeNode::EdgeNode(sim::Network& net, NodeId id, EdgeConfig config)
-    : RpcActor(net, id),
+    : DurableNode(net, id, config.disk, config.checkpoint_interval),
       config_(config),
       engine_(txns_, store_, config.num_dcs),
       interest_(config.cache_capacity),
       initial_dc_(config.dc) {
   security::register_acl_crdt();
   security::register_sealed_crdt();
-  engine_.set_security_check([this](const Transaction& txn) {
-    const Crdt* obj = store_.current(security::acl_object_key());
-    return security::txn_allowed(
-        dynamic_cast<const security::AclObject*>(obj), txn);
-  });
-  engine_.set_policy_key(security::acl_object_key());
+  security::install_policy(engine_, store_);
   engine_.set_key_filter([this](const ObjectKey& key) {
     return key == security::acl_object_key() || interest_.contains(key) ||
            store_.has(key);
   });
-  engine_.set_visible_hook([this](const Transaction& txn) {
-    for (const OpRecord& op : txn.ops) {
-      if (op.key == security::acl_object_key()) {
-        engine_.recompute_masks();
-        break;
-      }
-    }
-    notify_watchers(txn);
-  });
-  if (config_.disk != nullptr) schedule_checkpoint();
+  engine_.set_visible_hook(
+      [this](const Transaction& txn) { notify_watchers(txn); });
+  start();
 }
 
 void EdgeNode::notify_watchers(const Transaction& txn) {
@@ -141,7 +134,7 @@ void EdgeNode::admit(const ObjectKey& key) {
   const auto victim = interest_.add(key);
   if (!victim.has_value()) return;
   store_.erase(*victim);
-  if (recovering_) return;  // eviction notice is live traffic only
+  if (recovering()) return;  // eviction notice is live traffic only
   const NodeId target = group_ ? group_->parent : config_.dc;
   tell(target, proto::kUnsubscribe, proto::UnsubscribeMsg{{*victim}});
 }
@@ -279,7 +272,7 @@ Transaction EdgeNode::make_transaction(Txn&& txn) {
 }
 
 Result<Dot> EdgeNode::commit(Txn&& txn) {
-  if (crashed_) {
+  if (crashed()) {
     return Error{Error::Code::kUnavailable, "node is crashed"};
   }
   if (config_.mode == ClientMode::kCloudOnly) {
@@ -287,7 +280,7 @@ Result<Dot> EdgeNode::commit(Txn&& txn) {
                  "cloud-only clients use cloud_execute"};
   }
   if (txn.ops.empty()) return Dot{};  // read-only: no side effects
-  if (unacked_.size() >= config_.max_unacked) {
+  if (unacked_.size() >= kMaxUnacked) {
     return Error{Error::Code::kUnavailable,
                  "commit backlog full (out of storage)"};
   }
@@ -379,7 +372,7 @@ void EdgeNode::cloud_execute(std::vector<ObjectKey> reads,
 // ---------------------------------------------------------------------------
 
 void EdgeNode::pump_commits() {
-  if (crashed_ || group_ || pump_in_flight_ || unacked_.empty()) return;
+  if (crashed() || group_ || pump_in_flight_ || unacked_.empty()) return;
   pump_in_flight_ = true;
   const Dot dot = unacked_.front();
   const Transaction* txn = txns_.find(dot);
@@ -397,10 +390,7 @@ void EdgeNode::pump_commits() {
          // Offline or incompatible: retry later; duplicates are filtered
          // by dot at the DC (section 3.8). The retry chain dies with its
          // incarnation (the restarted pump starts its own).
-         net_.scheduler().after(config_.retry_interval,
-                                [this, inc = incarnation_] {
-                                  if (inc == incarnation_) pump_commits();
-                                });
+         after<&EdgeNode::pump_commits>(kRetryInterval);
        });
 }
 
@@ -669,7 +659,7 @@ void EdgeNode::drain_group_queue() {
 
 void EdgeNode::on_message(NodeId from, std::uint32_t kind,
                           ByteView body) {
-  if (crashed_) return;  // dead process: frames fall on the floor
+  if (crashed()) return;  // dead process: frames fall on the floor
   switch (kind) {
     case proto::kPushTxn: {
       const auto msg = codec::from_bytes<proto::PushTxn>(body);
@@ -740,7 +730,7 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
 
 void EdgeNode::on_request(NodeId /*from*/, std::uint32_t method,
                           ByteView payload, ReplyFn reply) {
-  if (crashed_) return;  // dead process: the caller's RPC times out
+  if (crashed()) return;  // dead process: the caller's RPC times out
   switch (method) {
     case proto::kPeerFetch: {
       // Collaborative cache: serve a neighbour from the local cache.
@@ -762,7 +752,7 @@ void EdgeNode::on_request(NodeId /*from*/, std::uint32_t method,
 }
 
 // ---------------------------------------------------------------------------
-// Durability: WAL logging, checkpoints, crash, recovery.
+// Durability: the edge's record vocabulary, checkpoint and durable projection.
 // ---------------------------------------------------------------------------
 
 // --- the durable effect of each record kind --------------------------------
@@ -992,32 +982,7 @@ void EdgeNode::encode_durable(Encoder& enc) const {
   engine_.encode_state(enc);
 }
 
-void EdgeNode::schedule_checkpoint() {
-  net_.scheduler().after(config_.checkpoint_interval,
-                         [this, inc = incarnation_] {
-                           if (inc == incarnation_) checkpoint_tick();
-                         });
-}
-
-void EdgeNode::checkpoint_tick() {
-  if (config_.disk != nullptr && !crashed_ &&
-      config_.disk->records_since_checkpoint() > 0) {
-    Encoder snapshot;
-    encode_checkpoint(snapshot);
-    config_.disk->write_checkpoint(snapshot.data());
-    // Reclaim the log prefix (and superseded checkpoints) the fresh
-    // checkpoint made redundant.
-    config_.disk->truncate_to_checkpoint();
-  }
-  schedule_checkpoint();
-}
-
-void EdgeNode::crash() {
-  COLONY_ASSERT(config_.disk != nullptr,
-                "crash() on a node without durable storage");
-  crashed_ = true;
-  ++incarnation_;
-  abort_pending_calls();
+void EdgeNode::wipe() {
   config_.dc = initial_dc_;  // migrations replay from zero
   interest_ = InterestSet(config_.cache_capacity);
   push_recv_.clear();
@@ -1040,63 +1005,18 @@ void EdgeNode::crash() {
   engine_.reset();
 }
 
-void EdgeNode::recover(bool reconnect) {
-  COLONY_ASSERT(config_.disk != nullptr,
-                "recover() on a node without durable storage");
-  const storage::WalRecovery rec = config_.disk->recover();
-  crashed_ = false;
-  recovering_ = true;
-  if (rec.checkpoint.has_value()) decode_checkpoint(*rec.checkpoint);
-  for (const storage::WalRecord& record : rec.tail) {
-    replay_record(record.type, record.payload);
-  }
-  recovering_ = false;
-  if (rec.torn) config_.disk->truncate_to(rec.valid_bytes);
-  if (reconnect) {
-    ++incarnation_;
-    // Re-send whatever the DC never acknowledged; its dot filter drops
-    // anything that did arrive before the crash. The session channel
-    // resyncs from the DC side once it sees the node back up.
-    pump_commits();
-    schedule_checkpoint();
-  }
-}
+void EdgeNode::on_start() { pump_commits(); }
 
-Bytes EdgeNode::durable_bytes() const {
-  Encoder enc;
-  encode_durable(enc);
-  return enc.take();
-}
-
-bool EdgeNode::verify_recovery(std::string* why) const {
-  // No disk: nothing to verify. Crashed: state is intentionally empty.
-  // Group-tainted: consensus mutated state outside the WAL (volatile by
-  // design). Bounded cache: LRU order (hence eviction victims) depends on
-  // unlogged reads, so exact restoration is not part of the contract.
-  if (config_.disk == nullptr || crashed_ || in_group() || group_tainted_ ||
-      config_.cache_capacity != 0) {
-    return true;
-  }
-  sim::Scheduler scheduler;
-  sim::Network net(scheduler, /*seed=*/1);
-  storage::Wal disk(*config_.disk);
+std::unique_ptr<storage::DurableNode> EdgeNode::make_replica(
+    sim::Network& net, storage::Wal& disk) const {
   EdgeConfig cfg = config_;
   cfg.dc = initial_dc_;  // replay rebuilds any migration
   cfg.disk = &disk;
-  EdgeNode replica(net, id(), cfg);
-  replica.recover(/*reconnect=*/false);
-  const Bytes mine = durable_bytes();
-  const Bytes theirs = replica.durable_bytes();
-  if (mine == theirs) return true;
-  if (why != nullptr) {
-    *why = "edge " + std::to_string(id()) +
-           " durable projection diverges after recovery: live " +
-           std::to_string(mine.size()) + "B vs replica " +
-           std::to_string(theirs.size()) + "B (commits " +
-           std::to_string(commits_) + " vs " +
-           std::to_string(replica.commits_) + ")";
-  }
-  return false;
+  return std::make_unique<EdgeNode>(net, id(), cfg);
+}
+
+bool EdgeNode::verifiable() const {
+  return !in_group() && !group_tainted_ && config_.cache_capacity == 0;
 }
 
 }  // namespace colony

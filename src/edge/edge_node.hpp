@@ -32,10 +32,9 @@
 #include "group/si_order.hpp"
 #include "security/acl.hpp"
 #include "security/crypto_sim.hpp"
-#include "sim/rpc.hpp"
 #include "storage/cache.hpp"
+#include "storage/durable_node.hpp"
 #include "storage/journal_store.hpp"
-#include "storage/wal.hpp"
 
 namespace colony {
 
@@ -62,10 +61,6 @@ struct EdgeConfig {
   UserId user = 0;
   std::size_t num_dcs = 1;
   std::size_t cache_capacity = 0;  // objects; 0 = unbounded
-  /// Commit backpressure: block new commits while this many transactions
-  /// await DC acknowledgement ("runs out of storage", §3).
-  std::size_t max_unacked = 256;
-  SimTime retry_interval = 500 * kMillisecond;
   /// Durable write-ahead log, owned by the topology builder. nullptr = no
   /// durability; such a node must never be crash-restarted.
   storage::Wal* disk = nullptr;
@@ -73,8 +68,19 @@ struct EdgeConfig {
   SimTime checkpoint_interval = 400 * kMillisecond;
 };
 
-class EdgeNode final : public sim::RpcActor {
+/// Crash, recover, verify_recovery and durable_bytes come from
+/// storage::DurableNode. A crash wipes the cache, the unacked queue, group
+/// membership and watchers; peer-group membership does NOT survive it (the
+/// reborn node must join_group again; its group-delivered foreign
+/// transactions are re-obtained via subscription snapshots). A restart
+/// re-sends the restored unacknowledged transactions (the DC's dot filter
+/// drops duplicates).
+class EdgeNode final : public storage::DurableNode {
  public:
+  /// Commit backpressure: block new commits while this many transactions
+  /// await DC acknowledgement ("runs out of storage", §3).
+  static constexpr std::size_t kMaxUnacked = 256;
+
   EdgeNode(sim::Network& net, NodeId id, EdgeConfig config);
 
   // --- interactive transactions (kClientCache / kPeerGroup) --------------
@@ -211,32 +217,6 @@ class EdgeNode final : public sim::RpcActor {
   [[nodiscard]] NodeId connected_dc() const { return config_.dc; }
   [[nodiscard]] std::uint64_t commits_issued() const { return commits_; }
 
-  // --- durability (crash / restart) ---------------------------------------
-
-  /// Kill the device: all in-memory state (cache, unacked queue, group
-  /// membership, watchers) is wiped and in-flight continuations forgotten.
-  /// Requires a configured WAL. Peer-group membership does NOT survive a
-  /// crash — the reborn node must join_group again; its group-delivered
-  /// foreign transactions are re-obtained via subscription snapshots.
-  void crash();
-
-  /// Rebuild the node from its WAL: newest intact checkpoint plus tail
-  /// replay. With `reconnect` (live restart) the commit pump restarts so
-  /// restored unacknowledged transactions are re-sent (the DC's dot filter
-  /// drops duplicates); verify_recovery's offline replica passes false.
-  void recover(bool reconnect = true);
-
-  /// Prove recoverability in place: build an offline replica from a copy
-  /// of the WAL and compare durable projections byte-for-byte. Trivially
-  /// true for group members (group state is volatile by design) and for
-  /// capacity-bounded caches (LRU order is not durable).
-  [[nodiscard]] bool verify_recovery(std::string* why = nullptr) const;
-
-  /// The durable projection as bytes (the recovery invariant surface).
-  [[nodiscard]] Bytes durable_bytes() const;
-
-  [[nodiscard]] bool crashed() const { return crashed_; }
-
  protected:
   void on_message(NodeId from, std::uint32_t kind,
                   ByteView body) override;
@@ -281,28 +261,24 @@ class EdgeNode final : public sim::RpcActor {
     kEdgeSessionKey = 11,  // session key obtained for a bucket
   };
 
-  [[nodiscard]] bool wal_enabled() const {
-    return config_.disk != nullptr && !recovering_ && !crashed_;
-  }
-  /// Append a record whose payload `write(Encoder&)` produces; nothing is
-  /// encoded while the WAL is off.
-  template <typename Write>
-  void log_record(std::uint32_t type, Write&& write) {
-    if (!wal_enabled()) return;
-    Encoder rec;
-    write(rec);
-    config_.disk->append(type, rec.data());
-  }
-  void replay_record(std::uint32_t type, ByteView payload);
+  void replay_record(std::uint32_t type, ByteView payload) override;
   /// A checkpoint is the layout version word plus the durable projection.
-  void encode_checkpoint(Encoder& enc) const;
-  void decode_checkpoint(ByteView snapshot);
+  void encode_checkpoint(Encoder& enc) const override;
+  void decode_checkpoint(ByteView snapshot) override;
   /// The recovery-invariant projection (exact-restoration contract).
   /// Excludes txn_counter_ (local labels), watchers (dead callbacks),
   /// group state (volatile), and cache LRU order.
-  void encode_durable(Encoder& enc) const;
-  void schedule_checkpoint();
-  void checkpoint_tick();
+  void encode_durable(Encoder& enc) const override;
+  void wipe() override;
+  /// Restart the commit pump. The session channel resyncs from the DC side
+  /// once it sees the node back up.
+  void on_start() override;
+  [[nodiscard]] std::unique_ptr<storage::DurableNode> make_replica(
+      sim::Network& net, storage::Wal& disk) const override;
+  /// Not while in a group or group-tainted (consensus mutated state outside
+  /// the WAL), nor with a bounded cache (LRU order, hence eviction victims,
+  /// depends on unlogged reads).
+  [[nodiscard]] bool verifiable() const override;
 
   // The durable effect of each WAL record kind, defined once: the live
   // handler logs the record and calls it, then runs its volatile side
@@ -409,9 +385,6 @@ class EdgeNode final : public sim::RpcActor {
   /// DC this node was built against; a crash-restart replays migrations
   /// from zero, so config_.dc must rewind to it first.
   NodeId initial_dc_ = 0;
-  bool crashed_ = false;
-  bool recovering_ = false;
-  std::uint64_t incarnation_ = 0;
   /// Set once group consensus mutated local state (foreign deliveries,
   /// ordered commits): those paths are deliberately unlogged, so in-place
   /// recovery verification is meaningless until a crash resets the node to

@@ -7,6 +7,17 @@
 
 namespace colony {
 
+namespace {
+/// Pause before retrying a failed DC forward or interest registration.
+constexpr SimTime kRetryInterval = 500 * kMillisecond;
+/// Member liveness probing: a member that misses kHeartbeatMisses probes in
+/// a row is removed from the membership (epoch change) so consensus
+/// regains its quorum; the member rejoins when it comes back (section
+/// 5.1.1).
+constexpr SimTime kHeartbeatInterval = 1 * kSecond;
+constexpr std::size_t kHeartbeatMisses = 2;
+}  // namespace
+
 PeerGroupParent::PeerGroupParent(sim::Network& net, NodeId id,
                                  GroupParentConfig config)
     : RpcActor(net, id),
@@ -14,22 +25,9 @@ PeerGroupParent::PeerGroupParent(sim::Network& net, NodeId id,
       keys_(config.session_key_seed),
       engine_(txns_, store_, config.num_dcs) {
   security::register_acl_crdt();
-  engine_.set_security_check([this](const Transaction& txn) {
-    const Crdt* obj = store_.current(security::acl_object_key());
-    return security::txn_allowed(
-        dynamic_cast<const security::AclObject*>(obj), txn);
-  });
-  engine_.set_policy_key(security::acl_object_key());
-  engine_.set_visible_hook([this](const Transaction& txn) {
-    for (const OpRecord& op : txn.ops) {
-      if (op.key == security::acl_object_key()) {
-        engine_.recompute_masks();
-        break;
-      }
-    }
-  });
+  security::install_policy(engine_, store_);
   rebuild_epaxos();
-  net.scheduler().after(config_.heartbeat_interval,
+  net.scheduler().after(kHeartbeatInterval,
                         [this] { heartbeat_tick(); });
   // Open the DC session eagerly (empty interest): the DC then announces
   // K-stable cut advances, so the parent's state vector tracks the world
@@ -58,16 +56,16 @@ void PeerGroupParent::heartbeat_tick() {
              missed_heartbeats_[m] = 0;
              return;
            }
-           if (++missed_heartbeats_[m] >= config_.heartbeat_misses) {
+           if (++missed_heartbeats_[m] >= kHeartbeatMisses) {
              // The member is unreachable: reconfigure so the group's
              // consensus regains a full quorum (section 5.1.1).
              missed_heartbeats_.erase(m);
              handle_leave(proto::GroupLeaveReq{m});
            }
          },
-         /*timeout=*/config_.heartbeat_interval / 2);
+         /*timeout=*/kHeartbeatInterval / 2);
   }
-  net_.scheduler().after(config_.heartbeat_interval,
+  net_.scheduler().after(kHeartbeatInterval,
                          [this] { heartbeat_tick(); });
 }
 
@@ -228,7 +226,7 @@ void PeerGroupParent::pump_forward() {
            forward_queue_.insert(pos, dot);
            if (!retry_scheduled_) {
              retry_scheduled_ = true;
-             net_.scheduler().after(config_.retry_interval, [this] {
+             net_.scheduler().after(kRetryInterval, [this] {
                retry_scheduled_ = false;
                pump_forward();
              });
@@ -281,7 +279,7 @@ void PeerGroupParent::ensure_dc_interest(const ObjectKey& key) {
              // Offline: forget the registration so the next miss (or the
              // scheduled retry) re-subscribes once the uplink is back.
              dc_interest_.erase(key);
-             net_.scheduler().after(config_.retry_interval, [this, key] {
+             net_.scheduler().after(kRetryInterval, [this, key] {
                ensure_dc_interest(key);
              });
            }

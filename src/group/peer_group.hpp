@@ -33,12 +33,6 @@ namespace colony {
 struct GroupParentConfig {
   NodeId dc = 0;  // connected DC
   std::size_t num_dcs = 1;
-  SimTime retry_interval = 500 * kMillisecond;
-  /// Member liveness probing: an unreachable member is removed from the
-  /// membership (epoch change) so consensus regains its quorum; the member
-  /// rejoins when it comes back (section 5.1.1).
-  SimTime heartbeat_interval = 1 * kSecond;
-  std::size_t heartbeat_misses = 2;
   std::uint64_t session_key_seed = 0x5eed;
 };
 

@@ -1,5 +1,7 @@
 #include "security/acl.hpp"
 
+#include "core/visibility.hpp"
+#include "storage/journal_store.hpp"
 #include "util/assert.hpp"
 
 namespace colony::security {
@@ -219,6 +221,17 @@ UserId AclObject::user_parent(UserId user) const {
 std::string AclObject::object_parent(const std::string& object) const {
   const auto it = object_parent_.find(object);
   return it == object_parent_.end() ? std::string{} : it->second.first;
+}
+
+const AclObject* current_policy(const JournalStore& store) {
+  return dynamic_cast<const AclObject*>(store.current(acl_object_key()));
+}
+
+void install_policy(VisibilityEngine& engine, const JournalStore& store) {
+  engine.set_security_check([&store](const Transaction& txn) {
+    return txn_allowed(current_policy(store), txn);
+  });
+  engine.set_policy_key(acl_object_key());
 }
 
 bool txn_allowed(const AclObject* acl, const Transaction& txn) {

@@ -23,6 +23,11 @@
 #include "crdt/crdt.hpp"
 #include "util/types.hpp"
 
+namespace colony {
+class JournalStore;
+class VisibilityEngine;
+}  // namespace colony
+
 namespace colony::security {
 
 enum class Permission : std::uint8_t {
@@ -102,5 +107,13 @@ class AclObject final : public Crdt {
 /// k's name or its bucket; an update of the policy object itself requires
 /// kOwn on the policy ("_sys" bucket).
 [[nodiscard]] bool txn_allowed(const AclObject* acl, const Transaction& txn);
+
+/// The policy object stored in `store` (nullptr = open policy).
+[[nodiscard]] const AclObject* current_policy(const JournalStore& store);
+
+/// Enforce the policy stored in `store` on `engine`: mask what txn_allowed
+/// rejects under the policy's current value, and name the policy key so the
+/// engine re-evaluates its masks whenever a visible transaction writes it.
+void install_policy(VisibilityEngine& engine, const JournalStore& store);
 
 }  // namespace colony::security

@@ -1,0 +1,146 @@
+// DurableNode: the crash-recovery lifecycle of a node backed by a Wal.
+//
+// A durable node logs every mutation of its durable state as one WAL record
+// and periodically folds the log into a checkpoint. A crash wipes the
+// process image and kills its timers and RPC continuations; recover()
+// rebuilds the node from the newest intact checkpoint plus the record tail
+// replayed through the node's own handlers. verify_recovery() proves the
+// contract in place by recovering an offline replica from a copy of the
+// disk and comparing durable projections byte for byte.
+//
+// The base owns the algorithm: the crashed / recovering / incarnation
+// state, the WAL gate, the checkpoint chain, the recovery sequence, and the
+// rule that a dead incarnation's timers never touch the reborn node (every
+// timer goes through after() / at(), stamped with the incarnation that
+// scheduled it). A subclass supplies its record vocabulary and replay, its
+// checkpoint and durable projection, the state a crash wipes, what a
+// (re)started process schedules, and the replica the check recovers.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "sim/rpc.hpp"
+#include "storage/wal.hpp"
+
+namespace colony::storage {
+
+class DurableNode : public sim::RpcActor {
+ public:
+  /// Kill the process: in-memory state is wiped (wipe()) and outstanding
+  /// RPC continuations and timers are forgotten. The node stays dead
+  /// (traffic is dropped, timers of the old incarnation die) until
+  /// recover(). Requires a disk: a node without one has nothing to come
+  /// back from.
+  void crash();
+
+  /// Rebuild the node from its WAL: newest intact checkpoint, then tail
+  /// replay through the handler paths that produced the records. With
+  /// `reconnect` (the live-restart path) the process starts again; the
+  /// offline replica of verify_recovery passes false. On an already
+  /// running node (a double restart) the previous incarnation's timer
+  /// chains die instead of doubling.
+  void recover(bool reconnect = true);
+
+  /// Prove recoverability in place: build an offline replica from a copy
+  /// of the WAL and compare durable projections byte for byte. Trivially
+  /// true without a disk, while crashed, and while !verifiable().
+  [[nodiscard]] bool verify_recovery(std::string* why = nullptr) const;
+
+  /// The durable projection as bytes (the recovery invariant surface).
+  [[nodiscard]] Bytes durable_bytes() const;
+
+  [[nodiscard]] bool crashed() const { return crashed_; }
+
+ protected:
+  /// `disk` is owned by the topology builder (nullptr = no durability).
+  DurableNode(sim::Network& net, NodeId id, Wal* disk,
+              SimTime checkpoint_interval)
+      : RpcActor(net, id),
+        disk_(disk),
+        checkpoint_interval_(checkpoint_interval) {}
+
+  /// Start the process: the node's own timers (on_start), then the
+  /// checkpoint chain. A subclass constructor calls it last; recover()
+  /// calls it again on restart.
+  void start();
+
+  /// Should a mutation be logged right now? False without a disk, during
+  /// WAL replay (records must not re-log themselves), and while crashed.
+  [[nodiscard]] bool wal_enabled() const {
+    return disk_ != nullptr && !recovering_ && !crashed_;
+  }
+  /// Replaying the WAL: live side effects (sends, pushes) are suppressed.
+  [[nodiscard]] bool recovering() const { return recovering_; }
+
+  /// Append a record whose payload `write(Encoder&)` produces; nothing is
+  /// encoded while the WAL is off.
+  template <typename Write>
+  void log_record(std::uint32_t type, Write&& write) {
+    if (!wal_enabled()) return;
+    Encoder rec;
+    write(rec);
+    disk_->append(type, rec.data());
+  }
+
+  /// Timers of this incarnation: `fn` runs only if no crash or restart
+  /// happened in between.
+  template <typename Fn>
+  void at(SimTime when, Fn&& fn) {
+    net_.scheduler().at(
+        when, [this, inc = incarnation_, fn = std::forward<Fn>(fn)]() mutable {
+          if (inc == incarnation_) fn();
+        });
+  }
+  /// A timer of this incarnation that calls the member function `Method`
+  /// of this node. The callback holds just the node and the incarnation,
+  /// small enough for the scheduler to store without an allocation: the
+  /// periodic chains fire thousands of times per simulated second.
+  template <auto Method>
+  void after(SimTime delay) {
+    net_.scheduler().after(delay, [this, inc = incarnation_] {
+      if (inc == incarnation_) fire(this, Method);
+    });
+  }
+
+  // --- what each node supplies ---------------------------------------------
+
+  /// Re-apply one logged record (called with recovering() true).
+  virtual void replay_record(std::uint32_t type, ByteView payload) = 0;
+  virtual void encode_checkpoint(Encoder& enc) const = 0;
+  virtual void decode_checkpoint(ByteView snapshot) = 0;
+  /// The exact-restoration contract: every field recovery must restore.
+  virtual void encode_durable(Encoder& enc) const = 0;
+  /// Reset every piece of in-memory state to that of a fresh process.
+  virtual void wipe() = 0;
+  /// Re-derive state no record carries, still inside the replay.
+  virtual void after_replay() {}
+  /// What a (re)started process schedules and reconnects.
+  virtual void on_start() = 0;
+  /// An offline twin of this node on `net`, backed by `disk`, as the
+  /// constructor would build it before any record was written.
+  [[nodiscard]] virtual std::unique_ptr<DurableNode> make_replica(
+      sim::Network& net, Wal& disk) const = 0;
+  /// False while live state legitimately differs from what the WAL
+  /// promises (verify_recovery then passes trivially).
+  [[nodiscard]] virtual bool verifiable() const { return true; }
+
+ private:
+  template <typename Node>
+  static void fire(DurableNode* self, void (Node::*method)()) {
+    (static_cast<Node*>(self)->*method)();
+  }
+  void checkpoint_tick();
+
+  Wal* disk_;
+  SimTime checkpoint_interval_;
+  bool crashed_ = false;
+  bool recovering_ = false;
+  /// Stamps every timer; crash() and a restart bump it so callbacks from a
+  /// dead incarnation self-cancel instead of mutating the reborn node.
+  std::uint64_t incarnation_ = 0;
+};
+
+}  // namespace colony::storage

@@ -206,7 +206,7 @@ TEST_F(EdgeBasicTest, BackpressureWhenUnackedQueueFull) {
   cluster.set_uplink(node.id(), 0, false);
 
   Result<Dot> last{Dot{}};
-  for (std::size_t i = 0; i < node.config().max_unacked + 1; ++i) {
+  for (std::size_t i = 0; i < EdgeNode::kMaxUnacked + 1; ++i) {
     auto txn = session.begin();
     session.increment(txn, kX, 1);
     last = session.commit(std::move(txn));
