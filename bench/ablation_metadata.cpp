@@ -128,7 +128,7 @@ int main() {
                 txn.ops.push_back(OpRecord{{"chat", "ws.0.ch.5.msgs"},
                                            CrdtType::kPnCounter,
                                            PnCounter::prepare_add(1)});
-                return txn.to_bytes().size();
+                return codec::to_bytes(txn).size();
               }());
 
   benchutil::section("equivalent-commit optimisation (section 3.8)");
@@ -139,9 +139,7 @@ int main() {
   meta.snapshot = VersionVector(kDcs);
   meta.mark_accepted(0, 5);
   meta.mark_accepted(2, 9);
-  Encoder enc;
-  meta.encode(enc);
-  const std::size_t compact = enc.size();
+  const std::size_t compact = codec::to_bytes(meta).size();
   const std::size_t naive_equiv =
       VersionVector(kDcs).wire_size() * 2  // snapshot + 1st commit vector
       + VersionVector(kDcs).wire_size()    // 2nd equivalent commit vector

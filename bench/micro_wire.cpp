@@ -15,7 +15,7 @@
 namespace colony {
 namespace {
 
-Bytes make_payload() {
+Transaction make_txn() {
   Transaction txn;
   txn.meta.dot = Dot{7, 42};
   txn.meta.origin = 7;
@@ -26,8 +26,10 @@ Bytes make_payload() {
                                CrdtType::kPnCounter,
                                PnCounter::prepare_add(i)});
   }
-  return txn.to_bytes();
+  return txn;
 }
+
+Bytes make_payload() { return codec::to_bytes(make_txn()); }
 
 /// The seed's frame::encode, reimplemented verbatim for comparison: build
 /// the header+payload in one encoder, then a second encoder for the crc
@@ -104,6 +106,30 @@ void BM_FrameEncodeOnly(benchmark::State& state) {
       static_cast<double>(allocs.allocs()), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FrameEncodeOnly);
+
+/// The transaction codec alone, without framing: what every push,
+/// replication, edge commit and WAL record of a transaction pays.
+void BM_TxnEncode(benchmark::State& state) {
+  const Transaction txn = make_txn();
+  benchalloc::Scope allocs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec::to_bytes(txn));
+  }
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(allocs.allocs()), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_TxnEncode);
+
+void BM_TxnDecode(benchmark::State& state) {
+  const Bytes payload = make_payload();
+  benchalloc::Scope allocs;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec::from_bytes<Transaction>(payload));
+  }
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(allocs.allocs()), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_TxnDecode);
 
 void run_checksum(benchmark::State& state,
                   std::uint32_t (*checksum)(ByteView)) {

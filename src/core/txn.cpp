@@ -3,81 +3,9 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/codec.hpp"
 
 namespace colony {
-
-void OpRecord::encode(Encoder& enc) const {
-  enc.str(key.bucket);
-  enc.str(key.name);
-  enc.u8(static_cast<std::uint8_t>(type));
-  enc.bytes(payload);
-}
-
-OpRecord OpRecord::decode(Decoder& dec) {
-  OpRecord op;
-  op.key.bucket = dec.str();
-  op.key.name = dec.str();
-  op.type = static_cast<CrdtType>(dec.u8());
-  op.payload = dec.bytes();
-  return op;
-}
-
-void TxnMeta::encode(Encoder& enc) const {
-  dot.encode(enc);
-  enc.u64(origin);
-  enc.u64(user);
-  snapshot.encode(enc);
-  enc.u32(static_cast<std::uint32_t>(pending_deps.size()));
-  for (const Dot& dep : pending_deps) dep.encode(enc);
-  enc.boolean(concrete);
-  commit.encode(enc);
-  enc.u32(accepted_mask);
-}
-
-TxnMeta TxnMeta::decode(Decoder& dec) {
-  TxnMeta m;
-  m.dot = Dot::decode(dec);
-  m.origin = dec.u64();
-  m.user = dec.u64();
-  m.snapshot = VersionVector::decode(dec);
-  const std::uint32_t n = dec.u32();
-  if (n > dec.remaining()) dec.fail();  // hostile count: reject pre-alloc
-  for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-    m.pending_deps.push_back(Dot::decode(dec));
-  }
-  m.concrete = dec.boolean();
-  m.commit = VersionVector::decode(dec);
-  m.accepted_mask = dec.u32();
-  return m;
-}
-
-void Transaction::encode(Encoder& enc) const {
-  meta.encode(enc);
-  enc.u32(static_cast<std::uint32_t>(ops.size()));
-  for (const OpRecord& op : ops) op.encode(enc);
-}
-
-Transaction Transaction::decode(Decoder& dec) {
-  Transaction txn;
-  txn.meta = TxnMeta::decode(dec);
-  const std::uint32_t n = dec.u32();
-  if (n > dec.remaining()) dec.fail();
-  for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-    txn.ops.push_back(OpRecord::decode(dec));
-  }
-  return txn;
-}
-
-Bytes Transaction::to_bytes() const {
-  Encoder enc;
-  encode(enc);
-  return enc.take();
-}
-
-Transaction Transaction::from_bytes(const Bytes& bytes) {
-  Decoder dec(bytes);
-  return decode(dec);
-}
 
 VersionVector TxnMeta::commit_vector_via(DcId dc) const {
   COLONY_ASSERT(accepted_by(dc), "no commit timestamp for this DC");
@@ -173,7 +101,7 @@ void TxnStore::encode(Encoder& enc) const {
   std::vector<Dot> dots = all_dots();
   std::sort(dots.begin(), dots.end());
   enc.u32(static_cast<std::uint32_t>(dots.size()));
-  for (const Dot& dot : dots) txns_.at(dot).encode(enc);
+  for (const Dot& dot : dots) codec::write(enc, txns_.at(dot));
 }
 
 void TxnStore::decode(Decoder& dec) {
@@ -181,7 +109,7 @@ void TxnStore::decode(Decoder& dec) {
   const std::uint32_t n = dec.u32();
   if (n > dec.remaining()) dec.fail();
   for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-    Transaction txn = Transaction::decode(dec);
+    auto txn = codec::read<Transaction>(dec);
     const Dot dot = txn.meta.dot;
     txns_.emplace(dot, std::move(txn));
   }

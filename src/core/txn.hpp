@@ -35,8 +35,6 @@ struct OpRecord {
   CrdtType type{};
   Bytes payload;
 
-  void encode(Encoder& enc) const;
-  static OpRecord decode(Decoder& dec);
   bool operator==(const OpRecord&) const = default;
   auto fields() { return std::tie(key, type, payload); }
 };
@@ -93,8 +91,6 @@ struct TxnMeta {
   /// merge into a state vector.
   [[nodiscard]] VersionVector commit_lub() const;
 
-  void encode(Encoder& enc) const;
-  static TxnMeta decode(Decoder& dec);
   bool operator==(const TxnMeta&) const = default;
   auto fields() {
     return std::tie(dot, origin, user, snapshot, pending_deps, concrete,
@@ -109,14 +105,12 @@ static_assert(
     "TxnMeta::accepted_mask width must equal kMaxDcs");
 
 /// Value (wire) representation of a transaction: metadata plus operations.
+/// OpRecord, TxnMeta and Transaction are laid out by util/codec.hpp from
+/// their fields().
 struct Transaction {
   TxnMeta meta;
   std::vector<OpRecord> ops;
 
-  void encode(Encoder& enc) const;
-  static Transaction decode(Decoder& dec);
-  [[nodiscard]] Bytes to_bytes() const;
-  static Transaction from_bytes(const Bytes& bytes);
   bool operator==(const Transaction&) const = default;
   auto fields() { return std::tie(meta, ops); }
 };

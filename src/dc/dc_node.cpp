@@ -159,43 +159,28 @@ void DcNode::gossip_tick() {
     // Baking bases folds K-stable journal prefixes into base versions —
     // a destructive, cut-dependent rewrite. Log it so replay re-bakes at
     // the same point with the same cut (gossip records restored it).
-    log_record(kWalDcAdvanceBase, [](Encoder& /*rec*/) {});
-    advance_bases();
+    log_record(kWalDcAdvanceBase);
+    apply_advance_base();
   }
   schedule_gossip();
 }
 
-void DcNode::advance_bases() {
-  const auto pred = k_stable_predicate();
-  for (const ObjectKey& key : store_.keys()) {
-    store_.advance_base(key, pred);
-  }
-}
-
 void DcNode::handle_gossip(NodeId from, const proto::DcGossip& msg) {
-  COLONY_ASSERT(msg.dc < dc_states_.size(), "gossip from unknown DC");
-  // Gossip advances dc_states_, which advance_bases() bakes into journal
-  // base versions — so the merged vectors must be reproducible at each
-  // logged base advance. Log the message, not the merged result: replay
-  // re-runs this handler.
-  log_record(kWalDcGossip, [&](Encoder& rec) { codec::write(rec, msg); });
-  dc_states_[msg.dc].merge(msg.state);
+  // Gossip advances dc_states_, which apply_advance_base() bakes into
+  // journal base versions — so the merged vectors must be reproducible at
+  // each logged base advance. Log the message, not the merged result.
+  log_record(kWalDcGossip, msg);
+  apply_gossip(msg);
 
   // Anti-entropy: replication is fire-and-forget, so a mesh partition can
   // lose transactions. The gossiped state vector exposes the gap — re-send
-  // the suffix of our commit stream the peer is missing. Suppressed during
-  // WAL replay (the peer is not actually behind; `from` is synthetic).
-  const Timestamp peer_has = msg.state.at(config_.dc_id);
-  if (peer_has < commit_counter_ && !recovering()) {
-    for (std::size_t i = static_cast<std::size_t>(peer_has);
-         i < my_commits_.size(); ++i) {
-      const Transaction* txn = txns_.find(my_commits_[i]);
-      COLONY_ASSERT(txn != nullptr, "commit stream references unknown txn");
-      tell(from, proto::kReplicateTxn, proto::ReplicateTxn{*txn});
-    }
+  // the suffix of our commit stream the peer is missing.
+  for (auto i = static_cast<std::size_t>(msg.state.at(config_.dc_id));
+       i < my_commits_.size(); ++i) {
+    const Transaction* txn = txns_.find(my_commits_[i]);
+    COLONY_ASSERT(txn != nullptr, "commit stream references unknown txn");
+    tell(from, proto::kReplicateTxn, proto::ReplicateTxn{*txn});
   }
-
-  recompute_k_cut();
   push_sessions();
 }
 
@@ -326,21 +311,18 @@ void DcNode::open_cursor(EdgeSession& session,
 // ---------------------------------------------------------------------------
 
 Timestamp DcNode::commit_here(Transaction txn) {
-  const Timestamp ts = ++commit_counter_;
+  const Timestamp ts = my_commits_.size() + 1;
   txn.meta.mark_accepted(config_.dc_id, ts);
-  my_commits_.push_back(txn.meta.dot);
-  // Logged post-mark: the record carries the assigned timestamp, and
-  // replay (which runs back through this function) asserts the counter
-  // re-derives it.
-  log_record(kWalDcCommit, [&](Encoder& rec) { txn.encode(rec); });
-  engine_.ingest(std::move(txn));
+  // Logged post-mark: the record carries the assigned timestamp.
+  log_record(kWalDcCommit, txn);
+  apply_commit(std::move(txn));
   return ts;
 }
 
 std::uint64_t DcNode::fresh_counter() {
   const std::uint64_t counter = local_dot_counter_ + 1;
-  log_record(kWalDcDot, [&](Encoder& rec) { rec.u64(counter); });
-  local_dot_counter_ = counter;
+  log_record(kWalDcDot, counter);
+  apply_dot(counter);
   return counter;
 }
 
@@ -572,11 +554,9 @@ void DcNode::handle_migrate(NodeId from, const proto::MigrateReq& req,
 // Replication ingest.
 // ---------------------------------------------------------------------------
 
-void DcNode::handle_replicate(const proto::ReplicateTxn& msg) {
-  log_record(kWalDcIngest, [&](Encoder& rec) { msg.txn.encode(rec); });
-  engine_.ingest(msg.txn);
-  dc_states_[config_.dc_id] = engine_.state_vector();
-  recompute_k_cut();
+void DcNode::handle_replicate(proto::ReplicateTxn msg) {
+  log_record(kWalDcIngest, msg.txn);
+  apply_ingest(std::move(msg.txn));
   push_sessions();
 }
 
@@ -702,93 +682,72 @@ void DcNode::log_session(NodeId node, const EdgeSession& session) {
   // advance it recordlessly — recovery compensates by reconnect-resyncing
   // every session, which rewinds to the acknowledged prefix and relies on
   // the subscriber's dot filter to drop re-pushed duplicates.
-  log_record(kWalDcSession,
-             [&](Encoder& rec) { encode_session(rec, node, session); });
+  log_record(kWalDcSession, node, static_cast<const SessionRecord&>(session));
 }
 
-void DcNode::encode_session(Encoder& enc, NodeId node,
-                            const EdgeSession& session) {
-  enc.u64(node);
-  enc.u64(session.user);
-  codec::write(enc, session.interest);
-  enc.u64(session.cursor);
-  enc.u64(session.acked);
-  enc.u64(session.seq);
-  enc.u64(session.acked_seq);
+// --- the durable effect of each record kind --------------------------------
+
+void DcNode::apply_commit(Transaction txn) {
+  // The record carries the timestamp this DC assigned: it must be the next
+  // one, or the WAL is not a faithful prefix of the commit stream.
+  COLONY_ASSERT(txn.meta.commit.at(config_.dc_id) == my_commits_.size() + 1,
+                "WAL replay re-sequenced a commit");
+  my_commits_.push_back(txn.meta.dot);
+  engine_.ingest(std::move(txn));
 }
 
-void DcNode::decode_session(Decoder& dec) {
-  const NodeId node = dec.u64();
-  EdgeSession& session = sessions_[node];
-  session.user = dec.u64();
-  session.interest = codec::read<std::set<ObjectKey>>(dec);
-  session.cursor = static_cast<std::size_t>(dec.u64());
-  session.acked = static_cast<std::size_t>(dec.u64());
-  session.seq = dec.u64();
-  session.acked_seq = dec.u64();
+void DcNode::apply_ingest(Transaction txn) {
+  engine_.ingest(std::move(txn));
+  dc_states_[config_.dc_id] = engine_.state_vector();
+  recompute_k_cut();
 }
 
-void DcNode::replay_record(std::uint32_t type, ByteView payload) {
-  Decoder dec(payload);
-  switch (type) {
-    case kWalDcCommit: {
-      Transaction txn = Transaction::decode(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kWalDcCommit payload");
-      const Timestamp recorded = txn.meta.commit.at(config_.dc_id);
-      // Re-sequencing through the live path re-derives the timestamp from
-      // the restored counter; mark_accepted is idempotent on the replayed
-      // metadata. A disagreement means the WAL is not a faithful prefix.
-      const Timestamp ts = commit_here(std::move(txn));
-      COLONY_ASSERT(ts == recorded, "WAL replay re-sequenced a commit");
-      break;
-    }
-    case kWalDcIngest: {
-      proto::ReplicateTxn msg{Transaction::decode(dec)};
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kWalDcIngest payload");
-      handle_replicate(msg);
-      break;
-    }
-    case kWalDcGossip: {
-      const auto msg = codec::read<proto::DcGossip>(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kWalDcGossip payload");
-      handle_gossip(/*from=*/0, msg);
-      break;
-    }
-    case kWalDcSession: {
-      decode_session(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kWalDcSession payload");
-      break;
-    }
-    case kWalDcAdvanceBase: {
-      COLONY_ASSERT(dec.done(), "kWalDcAdvanceBase carries no payload");
-      // The live bake ran right after a gossip tick refreshed this DC's own
-      // entry and the cut; reproduce both before re-baking.
-      dc_states_[config_.dc_id] = engine_.state_vector();
-      recompute_k_cut();
-      advance_bases();
-      break;
-    }
-    case kWalDcDot: {
-      local_dot_counter_ = dec.u64();
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kWalDcDot payload");
-      break;
-    }
-    default:
-      COLONY_ASSERT(false, "unknown DC WAL record type");
+void DcNode::apply_gossip(const proto::DcGossip& msg) {
+  COLONY_ASSERT(msg.dc < dc_states_.size(), "gossip from unknown DC");
+  dc_states_[msg.dc].merge(msg.state);
+  recompute_k_cut();
+}
+
+void DcNode::apply_session(NodeId node, const SessionRecord& record) {
+  static_cast<SessionRecord&>(sessions_[node]) = record;
+}
+
+void DcNode::apply_advance_base() {
+  // The live bake runs right after a gossip tick refreshed this DC's own
+  // entry and the cut; refresh both so a replayed bake sees the same cut.
+  dc_states_[config_.dc_id] = engine_.state_vector();
+  recompute_k_cut();
+  const auto pred = k_stable_predicate();
+  for (const ObjectKey& key : store_.keys()) {
+    store_.advance_base(key, pred);
   }
 }
 
+void DcNode::apply_dot(std::uint64_t counter) { local_dot_counter_ = counter; }
+
+void DcNode::replay_record(std::uint32_t type, ByteView payload) {
+  switch (type) {
+    case kWalDcCommit: return replay(payload, &DcNode::apply_commit);
+    case kWalDcIngest: return replay(payload, &DcNode::apply_ingest);
+    case kWalDcGossip: return replay(payload, &DcNode::apply_gossip);
+    case kWalDcSession: return replay(payload, &DcNode::apply_session);
+    case kWalDcAdvanceBase:
+      return replay(payload, &DcNode::apply_advance_base);
+    case kWalDcDot: return replay(payload, &DcNode::apply_dot);
+  }
+  COLONY_ASSERT(false, "unknown DC WAL record type");
+}
+
 void DcNode::encode_checkpoint(Encoder& enc) const {
-  enc.u32(1);  // checkpoint layout version
-  enc.u64(commit_counter_);
+  enc.u32(2);  // checkpoint layout version
   enc.u64(local_dot_counter_);
   enc.u64(gossip_count_);
-  enc.u64(hlc_.last());
   codec::write(enc, my_commits_);
   codec::write(enc, dc_states_);
   enc.u32(static_cast<std::uint32_t>(sessions_.size()));
   for (const auto& [node, session] : sessions_) {
-    encode_session(enc, node, session);
+    codec::write(enc, node);
+    codec::write(enc, static_cast<const SessionRecord&>(session));
   }
   txns_.encode(enc);
   store_.encode(enc);
@@ -798,11 +757,9 @@ void DcNode::encode_checkpoint(Encoder& enc) const {
 void DcNode::decode_checkpoint(ByteView snapshot) {
   Decoder dec(snapshot);
   const std::uint32_t version = dec.u32();
-  COLONY_ASSERT(version == 1, "unknown DC checkpoint layout");
-  commit_counter_ = dec.u64();
+  COLONY_ASSERT(version == 2, "unknown DC checkpoint layout");
   local_dot_counter_ = dec.u64();
   gossip_count_ = dec.u64();
-  hlc_.restore(dec.u64());
   my_commits_ = codec::read<std::vector<Dot>>(dec);
   dc_states_ = codec::read<std::vector<VersionVector>>(dec);
   COLONY_ASSERT(dc_states_.size() == config_.num_dcs,
@@ -810,7 +767,8 @@ void DcNode::decode_checkpoint(ByteView snapshot) {
   sessions_.clear();
   const std::uint32_t session_count = dec.u32();
   for (std::uint32_t i = 0; i < session_count && dec.ok(); ++i) {
-    decode_session(dec);
+    const auto node = codec::read<NodeId>(dec);
+    codec::read_into(dec, static_cast<SessionRecord&>(sessions_[node]));
   }
   txns_.decode(dec);
   store_.decode(dec);
@@ -820,7 +778,6 @@ void DcNode::decode_checkpoint(ByteView snapshot) {
 }
 
 void DcNode::encode_durable(Encoder& enc) const {
-  enc.u64(commit_counter_);
   enc.u64(local_dot_counter_);
   codec::write(enc, my_commits_);
   codec::write(enc, dc_states_);
@@ -847,12 +804,10 @@ void DcNode::wipe() {
   waiting_execs_.clear();
   sessions_.clear();
   gossip_count_ = 0;
-  commit_counter_ = 0;
   my_commits_.clear();
   local_dot_counter_ = 0;
   dc_states_.assign(config_.num_dcs, VersionVector(config_.num_dcs));
   k_cut_ = VersionVector(config_.num_dcs);
-  hlc_.restore(0);
   txns_.clear();
   store_.clear();
   engine_.reset();

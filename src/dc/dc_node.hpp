@@ -15,9 +15,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
-#include "clock/hlc.hpp"
 #include "core/txn.hpp"
 #include "core/visibility.hpp"
 #include "dc/messages.hpp"
@@ -78,7 +78,7 @@ class DcNode final : public storage::DurableNode {
   /// Mutable access, for attaching an engine observer.
   VisibilityEngine& engine() { return engine_; }
   [[nodiscard]] DcId dc_id() const { return config_.dc_id; }
-  [[nodiscard]] std::uint64_t committed() const { return commit_counter_; }
+  [[nodiscard]] std::uint64_t committed() const { return my_commits_.size(); }
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
 
   /// The DC's current view of the policy object (nullptr = open policy).
@@ -93,20 +93,29 @@ class DcNode final : public storage::DurableNode {
  private:
   void dispatch_request(NodeId from, std::uint32_t method,
                         const Bytes& payload, ReplyFn reply);
-  struct EdgeSession {
+  /// The durable part of an edge session (kWalDcSession and the
+  /// checkpoint): identity plus the channel position when it was logged.
+  ///
+  /// Sender half of the acknowledged session channel (Go-Back-N): the
+  /// cursor advances optimistically when a push is handed to the network;
+  /// the subscriber acks its contiguous receive prefix, and a broken
+  /// connection or an ack stall rewinds cursor and seq to the acknowledged
+  /// point. Dense sequence numbers (not log indices) let the receiver tell
+  /// a lost push from a merely-uninteresting log entry.
+  struct SessionRecord {
     UserId user = 0;
     std::set<ObjectKey> interest;
-    std::size_t cursor = 0;        // position in the DC visibility log
-    VersionVector last_cut_sent;
-    // Sender half of the acknowledged session channel (Go-Back-N): the
-    // cursor above advances optimistically when a push is handed to the
-    // network; the subscriber acks its contiguous receive prefix, and a
-    // broken connection or an ack stall rewinds cursor and seq to the
-    // acknowledged point. Dense sequence numbers (not log indices) let the
-    // receiver tell a lost push from a merely-uninteresting log entry.
+    std::size_t cursor = 0;       // position in the DC visibility log
+    std::size_t acked = 0;        // log position confirmed by acks
     std::uint64_t seq = 0;        // last session_seq handed to the network
     std::uint64_t acked_seq = 0;  // highest cumulative ack received
-    std::size_t acked = 0;        // log position confirmed by those acks
+
+    auto fields() {
+      return std::tie(user, interest, cursor, acked, seq, acked_seq);
+    }
+  };
+  struct EdgeSession : SessionRecord {
+    VersionVector last_cut_sent;
     std::deque<std::pair<std::uint64_t, std::size_t>>
         outstanding;  // (seq, log index+1) of unacked pushes, seq order
     std::uint64_t acked_seq_last_tick = 0;  // stall-detection marker
@@ -124,7 +133,7 @@ class DcNode final : public storage::DurableNode {
                       ReplyFn reply);
   void handle_dc_execute(NodeId from, const proto::DcExecuteReq& req,
                          ReplyFn reply);
-  void handle_replicate(const proto::ReplicateTxn& msg);
+  void handle_replicate(proto::ReplicateTxn msg);
   void handle_gossip(NodeId from, const proto::DcGossip& msg);
 
   // Internals.
@@ -175,13 +184,20 @@ class DcNode final : public storage::DurableNode {
     kWalDcDot = 6,          // local_dot_counter_ after a bump
   };
 
+  // The durable effect of each record kind, defined once: the live handler
+  // logs the function's arguments as the record and calls it, then runs
+  // its live side effects (replication, anti-entropy, session pushes);
+  // replay_record decodes the arguments and calls the same function.
+  void apply_commit(Transaction txn);  // kWalDcCommit
+  void apply_ingest(Transaction txn);  // kWalDcIngest
+  void apply_gossip(const proto::DcGossip& msg);  // kWalDcGossip
+  void apply_session(NodeId node,
+                     const SessionRecord& record);  // kWalDcSession
+  /// kWalDcAdvanceBase: bake K-stable journal prefixes into base versions.
+  void apply_advance_base();
+  void apply_dot(std::uint64_t counter);  // kWalDcDot
+
   void log_session(NodeId node, const EdgeSession& session);
-  /// The durable session record (identity plus channel position at write
-  /// time), shared by kWalDcSession and the checkpoint. decode_session
-  /// reads one into sessions_, creating the entry if needed.
-  static void encode_session(Encoder& enc, NodeId node,
-                             const EdgeSession& session);
-  void decode_session(Decoder& dec);
   void replay_record(std::uint32_t type, ByteView payload) override;
   void encode_checkpoint(Encoder& enc) const override;
   void decode_checkpoint(ByteView snapshot) override;
@@ -197,9 +213,6 @@ class DcNode final : public storage::DurableNode {
   void on_start() override;
   [[nodiscard]] std::unique_ptr<storage::DurableNode> make_replica(
       sim::Network& net, storage::Wal& disk) const override;
-  /// Bake K-stable journal prefixes into base versions (gossip cadence
-  /// live; replayed at the logged point during recovery).
-  void advance_bases();
   void schedule_gossip();
 
   DcConfig config_;
@@ -210,11 +223,11 @@ class DcNode final : public storage::DurableNode {
   TxnStore txns_;
   JournalStore store_;
   VisibilityEngine engine_;
-  HybridLogicalClock hlc_;
   security::KeyService keys_;
 
-  Timestamp commit_counter_ = 0;
-  std::vector<Dot> my_commits_;  // txns sequenced here, in ts order
+  /// Txns sequenced here, in ts order: entry i got timestamp i + 1, so the
+  /// size is the last commit timestamp this DC assigned.
+  std::vector<Dot> my_commits_;
   std::uint64_t local_dot_counter_ = 0;
   std::vector<VersionVector> dc_states_;
   VersionVector k_cut_;

@@ -105,14 +105,14 @@ Arb EdgeNode::make_arb() {
   // The tick depends on the wall clock, which replay cannot reproduce; the
   // record carries the resulting HLC state instead.
   const Timestamp ts = HybridLogicalClock{hlc_}.tick(net_.local_now(id()));
-  log_record(kEdgeHlc, [&](Encoder& rec) { rec.u64(ts); });
+  log_record(kEdgeHlc, ts);
   apply_hlc(ts);
   return Arb{ts, fresh_dot()};
 }
 
 Dot EdgeNode::fresh_dot() {
   const std::uint64_t counter = dot_counter_ + 1;
-  log_record(kEdgeDot, [&](Encoder& rec) { rec.u64(counter); });
+  log_record(kEdgeDot, counter);
   apply_dot(counter);
   return Dot{id(), counter};
 }
@@ -140,7 +140,7 @@ void EdgeNode::admit(const ObjectKey& key) {
 }
 
 void EdgeNode::invalidate_cache() {
-  log_record(kEdgeInvalidate, [](Encoder& /*rec*/) {});
+  log_record(kEdgeInvalidate);
   apply_invalidate();
 }
 
@@ -184,12 +184,12 @@ void EdgeNode::read(Txn& txn, const ObjectKey& key, CrdtType type,
          proto::PeerFetchReq{key, true, id()},
          [this, &txn, key, type, cb = std::move(cb)](Result<Bytes> r) {
            if (r.ok()) {
-             const auto resp =
-                 codec::from_bytes<proto::PeerFetchResp>(r.value());
+             auto resp = codec::from_bytes<proto::PeerFetchResp>(r.value());
              if (resp.found) {
                // A DC fetch with an empty cut: the peer import is an
                // ordinary durable-state mutation.
-               on_fetched(key, type, &resp.snapshot, VersionVector{});
+               on_fetched(key, type,
+                          proto::FetchResp{std::move(resp.snapshot), {}});
                finish_read(txn, key, type, std::move(cb), ReadSource::kPeer);
                return;
              }
@@ -207,16 +207,15 @@ void EdgeNode::fetch_from_dc(const Txn& txn, const ObjectKey& key,
        proto::FetchReq{key, true, config_.user},
        [this, &txn, key, type, cb = std::move(cb)](Result<Bytes> r) {
          if (r.ok()) {
-           const auto resp = codec::from_bytes<proto::FetchResp>(r.value());
-           on_fetched(key, type, &resp.snapshot, resp.cut);
+           on_fetched(key, type,
+                      codec::from_bytes<proto::FetchResp>(r.value()));
            finish_read(txn, key, type, std::move(cb), ReadSource::kDc);
            return;
          }
-         if (r.error().code == Error::Code::kNotFound ||
-             r.error().message.starts_with("object unknown")) {
+         if (r.error().code == Error::Code::kNotFound) {
            // Nobody has created the object yet: start from the initial
            // (empty) state locally.
-           on_fetched(key, type, nullptr, VersionVector{});
+           on_fetched(key, type, std::nullopt);
            finish_read(txn, key, type, std::move(cb), ReadSource::kDc);
            return;
          }
@@ -229,18 +228,9 @@ void EdgeNode::fetch_from_dc(const Txn& txn, const ObjectKey& key,
 }
 
 void EdgeNode::on_fetched(const ObjectKey& key, CrdtType type,
-                          const ObjectSnapshot* snap,
-                          const VersionVector& cut) {
-  log_record(kEdgeFetch, [&](Encoder& rec) {
-    rec.u8(snap != nullptr ? 1 : 0);  // found, or created empty
-    codec::write(rec, key);
-    codec::write(rec, type);
-    if (snap != nullptr) {
-      codec::write(rec, *snap);
-      cut.encode(rec);
-    }
-  });
-  apply_fetch(key, type, snap, cut);
+                          const std::optional<proto::FetchResp>& fetched) {
+  log_record(kEdgeFetch, key, type, fetched);
+  apply_fetch(key, type, fetched);
   drain_group_queue();
 }
 
@@ -289,7 +279,7 @@ Result<Dot> EdgeNode::commit(Txn&& txn) {
   const Dot dot = record.meta.dot;
   const auto keys = command_keys(record);
 
-  log_record(kEdgeCommit, [&](Encoder& rec) { record.encode(rec); });
+  log_record(kEdgeCommit, record);
   apply_commit(record);
 
   if (group_) {
@@ -381,9 +371,9 @@ void EdgeNode::pump_commits() {
        [this, dot](Result<Bytes> r) {
          pump_in_flight_ = false;
          if (r.ok()) {
-           const auto resp =
-               codec::from_bytes<proto::EdgeCommitResp>(r.value());
-           on_resolution(dot, resp.dc, resp.ts, resp.resolved_snapshot);
+           auto resp = codec::from_bytes<proto::EdgeCommitResp>(r.value());
+           on_resolution(proto::ResolutionMsg{
+               dot, resp.dc, resp.ts, std::move(resp.resolved_snapshot)});
            pump_commits();
            return;
          }
@@ -394,20 +384,14 @@ void EdgeNode::pump_commits() {
        });
 }
 
-void EdgeNode::on_resolution(const Dot& dot, DcId dc, Timestamp ts,
-                             const VersionVector& snapshot) {
-  log_record(kEdgeAck, [&](Encoder& rec) {
-    dot.encode(rec);
-    rec.u32(dc);
-    rec.u64(ts);
-    snapshot.encode(rec);
-  });
-  apply_resolution(dot, dc, ts, snapshot);
+void EdgeNode::on_resolution(const proto::ResolutionMsg& msg) {
+  log_record(kEdgeAck, msg);
+  apply_resolution(msg);
   drain_group_queue();
-  if (const auto wit = ack_waiters_.find(dot); wit != ack_waiters_.end()) {
+  if (const auto wit = ack_waiters_.find(msg.dot); wit != ack_waiters_.end()) {
     CommitCb cb = std::move(wit->second);
     ack_waiters_.erase(wit);
-    cb(dot);
+    cb(msg.dot);
   }
   if (unacked_.empty() && !pending_migrated_.empty()) {
     // The chain flushed: launch deferred migrated transactions (§3.9).
@@ -430,12 +414,8 @@ void EdgeNode::subscribe(std::vector<ObjectKey> keys, DoneCb done) {
            return;
          }
          const auto resp = codec::from_bytes<proto::SubscribeResp>(r.value());
-         log_record(kEdgeSubscribe, [&](Encoder& rec) {
-           codec::write(rec, keys);
-           codec::write(rec, resp.snapshots);
-           resp.cut.encode(rec);
-         });
-         apply_subscribe(keys, resp.snapshots, resp.cut);
+         log_record(kEdgeSubscribe, keys, resp);
+         apply_subscribe(keys, resp);
          drain_group_queue();
          done(Result<void>{});
        });
@@ -454,8 +434,7 @@ void EdgeNode::open_session(std::vector<std::string> buckets, DoneCb done) {
          if (!resp.keys.empty()) {
            // Keys stay valid across disconnection (section 5.3), so they
            // must also survive a crash.
-           log_record(kEdgeSessionKey,
-                      [&](Encoder& rec) { codec::write(rec, resp.keys); });
+           log_record(kEdgeSessionKey, resp.keys);
          }
          apply_session_keys(resp.keys);
          done(Result<void>{});
@@ -470,7 +449,7 @@ std::optional<security::SessionKey> EdgeNode::session_key(
 }
 
 void EdgeNode::migrate_to_dc(NodeId new_dc, DoneCb done) {
-  log_record(kEdgeMigrate, [&](Encoder& rec) { rec.u64(new_dc); });
+  log_record(kEdgeMigrate, new_dc);
   apply_migrate(new_dc);
   call(new_dc, proto::kMigrate,
        proto::MigrateReq{engine_.state_vector(), interest_.keys(),
@@ -675,13 +654,8 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
       // receive-state transition) are the channel's durable history:
       // replaying them restores both the engine AND push_recv_, so the
       // restarted node acks from the exact prefix it had confirmed.
-      log_record(kEdgePush, [&](Encoder& rec) {
-        rec.u64(from);
-        rec.u64(msg.session_seq);
-        msg.txn.encode(rec);
-        codec::write(rec, msg.cut);
-      });
-      apply_push(from, msg.session_seq, msg.txn, msg.cut);
+      log_record(kEdgePush, from, msg);
+      apply_push(from, msg);
       drain_group_queue();
       break;
     }
@@ -694,14 +668,14 @@ void EdgeNode::on_message(NodeId from, std::uint32_t kind,
         // channel and re-announces the cut.
         break;
       }
-      log_record(kEdgeSeed, [&](Encoder& rec) { msg.cut.encode(rec); });
+      log_record(kEdgeSeed, msg.cut);
       apply_seed(msg.cut);
       drain_group_queue();
       break;
     }
     case proto::kResolutionRelay: {
       const auto msg = codec::from_bytes<proto::ResolutionMsg>(body);
-      on_resolution(msg.dot, msg.dc, msg.ts, msg.resolved_snapshot);
+      on_resolution(msg);
       break;
     }
     case proto::kGroupMembership: {
@@ -768,24 +742,21 @@ void EdgeNode::apply_commit(const Transaction& record) {
   ++commits_;
 }
 
-void EdgeNode::apply_resolution(const Dot& dot, DcId dc, Timestamp ts,
-                                const VersionVector& snapshot) {
-  engine_.resolve_full(dot, dc, ts, snapshot);
-  const auto it = std::find(unacked_.begin(), unacked_.end(), dot);
+void EdgeNode::apply_resolution(const proto::ResolutionMsg& msg) {
+  engine_.resolve_full(msg.dot, msg.dc, msg.ts, msg.resolved_snapshot);
+  const auto it = std::find(unacked_.begin(), unacked_.end(), msg.dot);
   if (it != unacked_.end()) unacked_.erase(it);
-  if (last_local_unresolved_ == dot) last_local_unresolved_.reset();
+  if (last_local_unresolved_ == msg.dot) last_local_unresolved_.reset();
 }
 
-void EdgeNode::apply_push(NodeId from, std::uint64_t seq,
-                          const Transaction& txn,
-                          const std::optional<VersionVector>& cut) {
+void EdgeNode::apply_push(NodeId from, const proto::PushTxn& msg) {
   // Only delivered pushes are logged, so the receive transition replays
   // verbatim.
-  push_recv_[from].on_push(seq);
-  engine_.ingest(txn);
+  push_recv_[from].on_push(msg.session_seq);
+  engine_.ingest(msg.txn);
   // A delivered push is inside the receive prefix, so the cut it carries
   // (watermark: its own session_seq) is covered.
-  if (cut) apply_seed(*cut);
+  if (msg.cut) apply_seed(*msg.cut);
 }
 
 void EdgeNode::apply_seed(const VersionVector& cut) {
@@ -794,25 +765,23 @@ void EdgeNode::apply_seed(const VersionVector& cut) {
 }
 
 void EdgeNode::apply_subscribe(const std::vector<ObjectKey>& keys,
-                               const std::vector<ObjectSnapshot>& snapshots,
-                               const VersionVector& cut) {
-  for (const ObjectSnapshot& snap : snapshots) {
+                               const proto::SubscribeResp& resp) {
+  for (const ObjectSnapshot& snap : resp.snapshots) {
     store_.import_snapshot(snap);
     engine_.reapply_missing(snap.key, snap);
   }
   for (const ObjectKey& key : keys) admit(key);
-  apply_seed(cut);
+  apply_seed(resp.cut);
 }
 
 void EdgeNode::apply_fetch(const ObjectKey& key, CrdtType type,
-                           const ObjectSnapshot* snap,
-                           const VersionVector& cut) {
-  if (snap != nullptr) {
-    store_.import_snapshot(*snap);
+                           const std::optional<proto::FetchResp>& fetched) {
+  if (fetched) {
+    store_.import_snapshot(fetched->snapshot);
     // The fetched (K-stable) version may be older than what this node had
     // already observed for the key: replay the locally-known suffix.
-    engine_.reapply_missing(snap->key, *snap);
-    apply_seed(cut);
+    engine_.reapply_missing(fetched->snapshot.key, fetched->snapshot);
+    apply_seed(fetched->cut);
   }
   admit(key);
   // Also after an import, which skips an empty object.
@@ -837,92 +806,21 @@ void EdgeNode::apply_session_keys(const SessionKeys& keys) {
 }
 
 void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
-  Decoder dec(payload);
   switch (type) {
-    case kEdgeCommit: {
-      const Transaction record = Transaction::decode(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeCommit payload");
-      apply_commit(record);
-      break;
-    }
-    case kEdgeAck: {
-      const Dot dot = Dot::decode(dec);
-      const DcId dc = dec.u32();
-      const Timestamp ts = dec.u64();
-      const VersionVector snapshot = VersionVector::decode(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeAck payload");
-      apply_resolution(dot, dc, ts, snapshot);
-      break;
-    }
-    case kEdgePush: {
-      const NodeId from = dec.u64();
-      const std::uint64_t seq = dec.u64();
-      const Transaction txn = Transaction::decode(dec);
-      const auto cut = codec::read<std::optional<VersionVector>>(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgePush payload");
-      apply_push(from, seq, txn, cut);
-      break;
-    }
-    case kEdgeSeed: {
-      const VersionVector cut = VersionVector::decode(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeSeed payload");
-      apply_seed(cut);
-      break;
-    }
-    case kEdgeSubscribe: {
-      const auto keys = codec::read<std::vector<ObjectKey>>(dec);
-      const auto snapshots = codec::read<std::vector<ObjectSnapshot>>(dec);
-      const VersionVector cut = VersionVector::decode(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeSubscribe payload");
-      apply_subscribe(keys, snapshots, cut);
-      break;
-    }
-    case kEdgeFetch: {
-      const bool found = dec.u8() != 0;
-      const auto key = codec::read<ObjectKey>(dec);
-      const auto type_tag = codec::read<CrdtType>(dec);
-      std::optional<ObjectSnapshot> snap;
-      VersionVector cut;
-      if (found) {
-        snap = codec::read<ObjectSnapshot>(dec);
-        cut = VersionVector::decode(dec);
-      }
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeFetch payload");
-      apply_fetch(key, type_tag, snap ? &*snap : nullptr, cut);
-      break;
-    }
-    case kEdgeDot: {
-      const std::uint64_t counter = dec.u64();
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeDot payload");
-      apply_dot(counter);
-      break;
-    }
-    case kEdgeHlc: {
-      const Timestamp last = dec.u64();
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeHlc payload");
-      apply_hlc(last);
-      break;
-    }
-    case kEdgeMigrate: {
-      const NodeId dc = dec.u64();
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeMigrate payload");
-      apply_migrate(dc);
-      break;
-    }
-    case kEdgeInvalidate: {
-      COLONY_ASSERT(dec.done(), "kEdgeInvalidate carries no payload");
-      apply_invalidate();
-      break;
-    }
-    case kEdgeSessionKey: {
-      const auto keys = codec::read<SessionKeys>(dec);
-      COLONY_ASSERT(dec.ok() && dec.done(), "torn kEdgeSessionKey payload");
-      apply_session_keys(keys);
-      break;
-    }
-    default:
-      COLONY_ASSERT(false, "unknown edge WAL record type");
+    case kEdgeCommit: return replay(payload, &EdgeNode::apply_commit);
+    case kEdgeAck: return replay(payload, &EdgeNode::apply_resolution);
+    case kEdgePush: return replay(payload, &EdgeNode::apply_push);
+    case kEdgeSeed: return replay(payload, &EdgeNode::apply_seed);
+    case kEdgeSubscribe: return replay(payload, &EdgeNode::apply_subscribe);
+    case kEdgeFetch: return replay(payload, &EdgeNode::apply_fetch);
+    case kEdgeDot: return replay(payload, &EdgeNode::apply_dot);
+    case kEdgeHlc: return replay(payload, &EdgeNode::apply_hlc);
+    case kEdgeMigrate: return replay(payload, &EdgeNode::apply_migrate);
+    case kEdgeInvalidate: return replay(payload, &EdgeNode::apply_invalidate);
+    case kEdgeSessionKey:
+      return replay(payload, &EdgeNode::apply_session_keys);
   }
+  COLONY_ASSERT(false, "unknown edge WAL record type");
 }
 
 void EdgeNode::encode_checkpoint(Encoder& enc) const {

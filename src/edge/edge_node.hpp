@@ -281,22 +281,19 @@ class EdgeNode final : public storage::DurableNode {
   [[nodiscard]] bool verifiable() const override;
 
   // The durable effect of each WAL record kind, defined once: the live
-  // handler logs the record and calls it, then runs its volatile side
-  // effects (acks, callbacks, group drain); replay_record decodes the
-  // record and calls the same function.
+  // handler logs the function's arguments as the record and calls it, then
+  // runs its volatile side effects (acks, callbacks, group drain);
+  // replay_record decodes the arguments and calls the same function.
   void apply_commit(const Transaction& record);  // kEdgeCommit
-  void apply_resolution(const Dot& dot, DcId dc, Timestamp ts,
-                        const VersionVector& snapshot);  // kEdgeAck
-  void apply_push(NodeId from, std::uint64_t seq, const Transaction& txn,
-                  const std::optional<VersionVector>& cut);  // kEdgePush
+  void apply_resolution(const proto::ResolutionMsg& msg);  // kEdgeAck
+  void apply_push(NodeId from, const proto::PushTxn& msg);  // kEdgePush
   void apply_seed(const VersionVector& cut);  // kEdgeSeed
   void apply_subscribe(const std::vector<ObjectKey>& keys,
-                       const std::vector<ObjectSnapshot>& snapshots,
-                       const VersionVector& cut);  // kEdgeSubscribe
-  /// kEdgeFetch; `snap` nullptr: nobody has created the object, it starts
+                       const proto::SubscribeResp& resp);  // kEdgeSubscribe
+  /// kEdgeFetch; no `fetched`: nobody has created the object, it starts
   /// empty.
   void apply_fetch(const ObjectKey& key, CrdtType type,
-                   const ObjectSnapshot* snap, const VersionVector& cut);
+                   const std::optional<proto::FetchResp>& fetched);
   void apply_dot(std::uint64_t counter);  // kEdgeDot
   void apply_hlc(Timestamp last);  // kEdgeHlc
   void apply_migrate(NodeId dc);  // kEdgeMigrate
@@ -307,8 +304,7 @@ class EdgeNode final : public storage::DurableNode {
   // Commit pump towards the DC (kClientCache mode).
   void pump_commits();
   /// A DC resolved a local commit (its ack, or the group parent's relay).
-  void on_resolution(const Dot& dot, DcId dc, Timestamp ts,
-                     const VersionVector& snapshot);
+  void on_resolution(const proto::ResolutionMsg& msg);
   void notify_watchers(const Transaction& txn);
 
   // Reads.
@@ -316,10 +312,10 @@ class EdgeNode final : public storage::DurableNode {
                    ReadCb cb, ReadSource source);
   void fetch_from_dc(const Txn& txn, const ObjectKey& key, CrdtType type,
                      ReadCb cb);
-  /// A fetch (from the DC or a peer) returned `snap` read at `cut`;
-  /// nullptr: the object does not exist yet.
+  /// A fetch (from the DC or a peer) returned a snapshot and the cut it
+  /// was read at; none: the object does not exist yet.
   void on_fetched(const ObjectKey& key, CrdtType type,
-                  const ObjectSnapshot* snap, const VersionVector& cut);
+                  const std::optional<proto::FetchResp>& fetched);
 
   // Cache admission/eviction.
   void admit(const ObjectKey& key);

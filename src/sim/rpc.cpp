@@ -35,10 +35,12 @@ void RpcActor::handle(NodeId from, std::uint32_t kind, ByteView body) {
     auto reply = [this, client, rpc_id, method](Result<Bytes> result) {
       Encoder enc;
       enc.u64(rpc_id);
-      enc.boolean(result.ok());
       if (result.ok()) {
+        enc.u8(0);
         enc.raw(result.value());
       } else {
+        enc.u8(static_cast<std::uint8_t>(
+            1 + static_cast<int>(result.error().code)));
         const std::string& msg = result.error().message;
         enc.raw(ByteView(reinterpret_cast<const std::uint8_t*>(msg.data()),
                          msg.size()));
@@ -51,17 +53,17 @@ void RpcActor::handle(NodeId from, std::uint32_t kind, ByteView body) {
   if ((kind & kRpcResponseFlag) != 0) {
     Decoder dec(body);
     const std::uint64_t rpc_id = dec.u64();
-    const bool ok = dec.boolean();
+    const std::uint8_t status = dec.u8();
     Bytes payload = dec.tail();
     COLONY_ASSERT(dec.ok(), "malformed rpc response envelope");
     const auto it = pending_.find(rpc_id);
     if (it == pending_.end()) return;  // timed out earlier; drop late reply
     ResponseFn cb = std::move(it->second);
     pending_.erase(it);
-    if (ok) {
+    if (status == 0) {
       cb(std::move(payload));
     } else {
-      cb(Error{Error::Code::kUnavailable,
+      cb(Error{static_cast<Error::Code>(status - 1),
                std::string(payload.begin(), payload.end())});
     }
     return;

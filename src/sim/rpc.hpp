@@ -10,8 +10,9 @@
 // the envelope sets a flag bit on the wire kind (`method | kRpcRequestFlag`
 // or `| kRpcResponseFlag`) so per-kind byte metering attributes request and
 // response bytes to the real protocol method, and the envelope body is
-// `[rpc_id u64 | payload]` for requests, `[rpc_id u64 | ok u8 |
-// payload-or-error-string]` for responses.
+// `[rpc_id u64 | payload]` for requests, `[rpc_id u64 | status u8 |
+// payload-or-error-string]` for responses. The status is 0 for a result and
+// 1 + Error::Code for an error, so the caller sees the server's code.
 #pragma once
 
 #include <cstdint>

@@ -3,10 +3,12 @@
 // A durable node logs every mutation of its durable state as one WAL record
 // and periodically folds the log into a checkpoint. A crash wipes the
 // process image and kills its timers and RPC continuations; recover()
-// rebuilds the node from the newest intact checkpoint plus the record tail
-// replayed through the node's own handlers. verify_recovery() proves the
-// contract in place by recovering an offline replica from a copy of the
-// disk and comparing durable projections byte for byte.
+// rebuilds the node from the newest intact checkpoint plus the record tail,
+// each record handed to the apply function the live path called after
+// logging it. A record is a typed value: its payload is that function's
+// arguments, written and read by the generic codec. verify_recovery()
+// proves the contract in place by recovering an offline replica from a copy
+// of the disk and comparing durable projections byte for byte.
 //
 // The base owns the algorithm: the crashed / recovering / incarnation
 // state, the WAL gate, the checkpoint chain, the recovery sequence, and the
@@ -20,10 +22,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "sim/rpc.hpp"
 #include "storage/wal.hpp"
+#include "util/assert.hpp"
+#include "util/codec.hpp"
 
 namespace colony::storage {
 
@@ -37,7 +43,7 @@ class DurableNode : public sim::RpcActor {
   void crash();
 
   /// Rebuild the node from its WAL: newest intact checkpoint, then tail
-  /// replay through the handler paths that produced the records. With
+  /// replay through the apply functions of the records. With
   /// `reconnect` (the live-restart path) the process starts again; the
   /// offline replica of verify_recovery passes false. On an already
   /// running node (a double restart) the previous incarnation's timer
@@ -75,14 +81,32 @@ class DurableNode : public sim::RpcActor {
   /// Replaying the WAL: live side effects (sends, pushes) are suppressed.
   [[nodiscard]] bool recovering() const { return recovering_; }
 
-  /// Append a record whose payload `write(Encoder&)` produces; nothing is
-  /// encoded while the WAL is off.
-  template <typename Write>
-  void log_record(std::uint32_t type, Write&& write) {
+  /// Append a record of kind `type` whose payload is `parts`, laid out in
+  /// order by the generic codec; nothing is encoded while the WAL is off.
+  /// The parts of a kind are the arguments of its apply function, so
+  /// replay() decodes exactly what was logged.
+  template <typename... Parts>
+  void log_record(std::uint32_t type, const Parts&... parts) {
     if (!wal_enabled()) return;
     Encoder rec;
-    write(rec);
+    (codec::write(rec, parts), ...);
     disk_->append(type, rec.data());
+  }
+
+  /// Decode a record payload as the parameters of `apply`, a member of the
+  /// node, and call it with them.
+  template <typename Node, typename... Args>
+  void replay(ByteView payload, void (Node::*apply)(Args...)) {
+    std::tuple<std::decay_t<Args>...> parts;
+    Decoder dec(payload);
+    std::apply([&dec](auto&... part) { (codec::read_into(dec, part), ...); },
+               parts);
+    COLONY_ASSERT(dec.ok() && dec.done(), "torn WAL record payload");
+    std::apply(
+        [this, apply](auto&... part) {
+          (static_cast<Node*>(this)->*apply)(std::move(part)...);
+        },
+        parts);
   }
 
   /// Timers of this incarnation: `fn` runs only if no crash or restart
@@ -107,7 +131,8 @@ class DurableNode : public sim::RpcActor {
 
   // --- what each node supplies ---------------------------------------------
 
-  /// Re-apply one logged record (called with recovering() true).
+  /// Re-apply one logged record (called with recovering() true): one
+  /// replay(payload, &Node::apply_...) per record kind.
   virtual void replay_record(std::uint32_t type, ByteView payload) = 0;
   virtual void encode_checkpoint(Encoder& enc) const = 0;
   virtual void decode_checkpoint(ByteView snapshot) = 0;

@@ -12,9 +12,9 @@
 // `codec::write`/`codec::read` then recurse over the tuple, dispatching on
 // type: primitives and enums are fixed-width little-endian, strings and
 // byte buffers are u32-length-prefixed, containers/pairs/optionals/variants
-// recurse, and types with their own `encode`/`decode` members (Transaction,
-// VersionVector, Dot...) use those — so the hand-tuned encodings the
-// metadata ablation measures stay byte-identical.
+// recurse, and the clock types with their own `encode`/`decode` members
+// (Dot, VersionVector, Arb) use those. Transactions and WAL records
+// are fields() structs too: this file is the only code that lays them out.
 //
 // Decoding is bounds-checked end to end: the Decoder latches its failure
 // flag on truncated input, and container reads reject length prefixes that
@@ -37,8 +37,8 @@
 namespace colony::codec {
 
 /// Types carrying their own codec members (`void encode(Encoder&) const`
-/// plus `static T decode(Decoder&)`). Preferred over `fields()` so types
-/// with invariants keep their hand-written encoding.
+/// plus `static T decode(Decoder&)`): the clock and arbitration types,
+/// whose compact encodings are tuned by hand.
 template <typename T>
 concept SelfCodec = requires(const T& t, Encoder& enc, Decoder& dec) {
   t.encode(enc);
@@ -81,24 +81,30 @@ inline constexpr bool is_variant_v<std::variant<Ts...>> = true;
 template <typename T>
 void write(Encoder& enc, const T& v);
 template <typename T>
-[[nodiscard]] T read(Decoder& dec);
+void read_into(Decoder& dec, T& out);
+
+/// Decode a fresh value (read_into on a value-initialised T).
+template <typename T>
+[[nodiscard]] T read(Decoder& dec) {
+  T out{};
+  read_into(dec, out);
+  return out;
+}
 
 namespace detail {
 
 template <typename V, std::size_t... Is>
-V read_variant(Decoder& dec, std::uint8_t index,
-               std::index_sequence<Is...> /*alts*/) {
-  V out{};
+void read_variant(Decoder& dec, std::uint8_t index, V& out,
+                  std::index_sequence<Is...> /*alts*/) {
   bool matched = false;
   auto try_alt = [&]<std::size_t I>() {
     if (I == index) {
-      out = codec::read<std::variant_alternative_t<I, V>>(dec);
+      codec::read_into(dec, out.template emplace<I>());
       matched = true;
     }
   };
   (try_alt.template operator()<Is>(), ...);
   if (!matched) dec.fail();  // index beyond the alternatives: corrupt input
-  return out;
 }
 
 }  // namespace detail
@@ -151,74 +157,71 @@ void write(Encoder& enc, const T& v) {
   }
 }
 
+/// Decode into `out` in place: a fields() struct decodes straight into its
+/// members and a vector into elements emplaced at its end, so nested
+/// messages build no temporaries on the way.
 template <typename T>
-T read(Decoder& dec) {
+void read_into(Decoder& dec, T& out) {
   if constexpr (std::is_same_v<T, bool>) {
-    return dec.boolean();
+    out = dec.boolean();
   } else if constexpr (std::is_enum_v<T>) {
-    return static_cast<T>(read<std::underlying_type_t<T>>(dec));
+    out = static_cast<T>(read<std::underlying_type_t<T>>(dec));
   } else if constexpr (std::is_integral_v<T>) {
     if constexpr (sizeof(T) == 1) {
-      return static_cast<T>(dec.u8());
+      out = static_cast<T>(dec.u8());
     } else if constexpr (sizeof(T) == 2) {
-      return static_cast<T>(dec.u16());
+      out = static_cast<T>(dec.u16());
     } else if constexpr (sizeof(T) == 4) {
-      return static_cast<T>(dec.u32());
+      out = static_cast<T>(dec.u32());
     } else {
-      return static_cast<T>(dec.u64());
+      out = static_cast<T>(dec.u64());
     }
   } else if constexpr (std::is_floating_point_v<T>) {
-    return static_cast<T>(dec.f64());
+    out = static_cast<T>(dec.f64());
   } else if constexpr (std::is_same_v<T, std::string>) {
-    return dec.str();
+    out = dec.str();
   } else if constexpr (std::is_same_v<T, Bytes>) {
-    return dec.bytes();
+    out = dec.bytes();
   } else if constexpr (SelfCodec<T>) {
-    return T::decode(dec);
+    out = T::decode(dec);
   } else if constexpr (detail::is_vector_v<T>) {
-    T out;
+    out.clear();
     const std::uint32_t n = dec.u32();
     // Every element encodes to >= 1 byte, so a count beyond the remaining
     // bytes is a corrupt/hostile prefix: reject before allocating.
     if (n > dec.remaining()) {
       dec.fail();
-      return out;
+      return;
     }
     out.reserve(n);
     for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-      out.push_back(read<typename T::value_type>(dec));
+      read_into(dec, out.emplace_back());
     }
-    return out;
   } else if constexpr (detail::is_set_v<T>) {
-    T out;
+    out.clear();
     const std::uint32_t n = dec.u32();
     if (n > dec.remaining()) {
       dec.fail();
-      return out;
+      return;
     }
     for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
       out.insert(read<typename T::value_type>(dec));
     }
-    return out;
   } else if constexpr (detail::is_pair_v<T>) {
-    auto first = read<typename T::first_type>(dec);
-    auto second = read<typename T::second_type>(dec);
-    return T{std::move(first), std::move(second)};
+    read_into(dec, out.first);
+    read_into(dec, out.second);
   } else if constexpr (detail::is_optional_v<T>) {
-    if (!dec.boolean()) return std::nullopt;
-    return read<typename T::value_type>(dec);
+    if (dec.boolean()) {
+      read_into(dec, out.emplace());
+    } else {
+      out.reset();
+    }
   } else if constexpr (detail::is_variant_v<T>) {
     const std::uint8_t index = dec.u8();
-    return detail::read_variant<T>(
-        dec, index, std::make_index_sequence<std::variant_size_v<T>>{});
+    detail::read_variant(dec, index, out,
+                         std::make_index_sequence<std::variant_size_v<T>>{});
   } else if constexpr (FieldTuple<T>) {
-    T out{};
-    std::apply(
-        [&dec](auto&... f) {
-          ((f = read<std::decay_t<decltype(f)>>(dec)), ...);
-        },
-        out.fields());
-    return out;
+    std::apply([&dec](auto&... f) { (read_into(dec, f), ...); }, out.fields());
   } else {
     static_assert(!sizeof(T*), "type has no codec mapping");
   }

@@ -145,6 +145,33 @@ TEST(PeerGroup, CollaborativeCacheServesMisses) {
   EXPECT_EQ(src, ReadSource::kPeer);
 }
 
+// A read of an object nobody has created misses at the parent, which asks
+// its DC once in the background. The DC's "not found" is an answer, not an
+// outage: the parent must not re-fetch the key every retry interval.
+TEST(PeerGroup, ParentDoesNotRefetchAnObjectNobodyCreated) {
+  GroupFixture fx(1);
+  fx.join_all();
+  fx.cluster->run_for(1 * kSecond);
+  fx.cluster->network().wire_stats().clear();
+
+  auto txn = fx.sessions[0]->begin();
+  std::int64_t value = -1;
+  fx.sessions[0]->read_counter(txn, {"app", "never-created"},
+                               [&](Result<std::int64_t> r, ReadSource) {
+                                 ASSERT_TRUE(r.ok());
+                                 value = r.value();
+                               });
+  fx.cluster->run_for(5 * kSecond);
+  EXPECT_EQ(value, 0);
+  // Two fetches, each a request and its reply: the member's own DC read
+  // after the peer miss, and the parent's one background fill.
+  EXPECT_EQ(fx.cluster->network()
+                .wire_stats()
+                .for_kind(proto::kFetchObject)
+                .frames,
+            4u);
+}
+
 TEST(PeerGroup, OfflineGroupKeepsCollaborating) {
   GroupFixture fx(3);
   fx.join_all();

@@ -71,8 +71,8 @@ TEST_F(RpcTest, ErrorsPropagate) {
     code = r.error().code;
   });
   sched.run_all();
-  // Application errors surface as kUnavailable with the message preserved.
-  EXPECT_EQ(code, Error::Code::kUnavailable);
+  // Application errors surface with the server's code.
+  EXPECT_EQ(code, Error::Code::kInvalidArgument);
 }
 
 TEST_F(RpcTest, TimeoutFiresWhenServerUnreachable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crdt/counter.hpp"
+#include "util/codec.hpp"
 
 namespace colony {
 namespace {
@@ -50,7 +51,7 @@ TEST(TxnCodec, RoundTrip) {
   txn.meta.user = 55;
   txn.meta.pending_deps.push_back(Dot{7, 2});
   txn.meta.mark_accepted(1, 9);
-  const Transaction back = Transaction::from_bytes(txn.to_bytes());
+  const auto back = codec::from_bytes<Transaction>(codec::to_bytes(txn));
   EXPECT_EQ(back.meta.dot, txn.meta.dot);
   EXPECT_EQ(back.meta.user, 55u);
   EXPECT_EQ(back.meta.snapshot, txn.meta.snapshot);

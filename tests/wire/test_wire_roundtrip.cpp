@@ -196,6 +196,45 @@ TEST(WireRoundTrip, GroupCommand) {
   }
 }
 
+// The transaction layout, byte for byte: it is the body of every push,
+// replication, edge commit and WAL transaction record, so a change to it
+// (field order, widths, prefixes) must be deliberate.
+TEST(WireRoundTrip, TransactionGoldenBytes) {
+  Transaction txn;
+  txn.meta.dot = Dot{7, 3};
+  txn.meta.origin = 7;
+  txn.meta.user = 5;
+  txn.meta.snapshot = VersionVector{4, 9};
+  txn.meta.pending_deps = {Dot{7, 2}};
+  txn.meta.mark_accepted(1, 12);
+  txn.ops.push_back(OpRecord{{"b", "x"}, CrdtType::kPnCounter, {0x01, 0x02}});
+  txn.ops.push_back(OpRecord{{"b", "y"}, CrdtType::kLwwRegister, {0xFF}});
+
+  const Bytes expected = {
+      // meta.dot (origin, counter)
+      7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+      // meta.origin, meta.user
+      7, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0,
+      // meta.snapshot: u32 width, then one u64 per DC
+      2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0,
+      // meta.pending_deps: u32 count, then dots
+      1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+      // meta.concrete
+      1,
+      // meta.commit: DC 1 at 12
+      2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0,
+      // meta.accepted_mask
+      2, 0, 0, 0,
+      // ops: u32 count
+      2, 0, 0, 0,
+      // op 0: bucket "b", name "x", type, payload
+      1, 0, 0, 0, 'b', 1, 0, 0, 0, 'x', 2, 2, 0, 0, 0, 0x01, 0x02,
+      // op 1: bucket "b", name "y", type, payload
+      1, 0, 0, 0, 'b', 1, 0, 0, 0, 'y', 3, 1, 0, 0, 0, 0xFF};
+  EXPECT_EQ(codec::to_bytes(txn), expected);
+  EXPECT_EQ(codec::from_bytes<Transaction>(expected), txn);
+}
+
 // Every kind used above reports a human-readable name (the wire accounting
 // tables would otherwise print "?" rows).
 TEST(WireRoundTrip, EveryKindHasAName) {
