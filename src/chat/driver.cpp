@@ -217,7 +217,6 @@ void ChatDriver::act(std::size_t i) {
 
 void ChatDriver::record_latency(std::size_t i, SimTime started,
                                 ReadSource src) {
-  if (record_only_ != SIZE_MAX && record_only_ != i) return;
   const SimTime latency = cluster_.now() - started;
   if (spotlight_ == i) {
     spotlight_latency_.record(latency);

@@ -60,10 +60,6 @@ class ChatDriver {
     return stalled_commits_;
   }
 
-  /// Restrict metric recording to one client (Figures 6/7 plot the joiner
-  /// separately); SIZE_MAX = record everyone.
-  void record_only(std::size_t client_index) { record_only_ = client_index; }
-  void record_all() { record_only_ = SIZE_MAX; }
   void clear_metrics();
 
   /// Route one client's latencies into a separate series (the migrating /
@@ -133,7 +129,6 @@ class ChatDriver {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_reads_ = 0;
   std::uint64_t stalled_commits_ = 0;
-  std::size_t record_only_ = SIZE_MAX;
   std::size_t spotlight_ = SIZE_MAX;
   Series spotlight_series_{"spotlight"};
   LatencyHistogram spotlight_latency_;

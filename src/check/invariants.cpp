@@ -42,10 +42,10 @@ void check_no_duplicate_dots(const JournalStore& store,
 /// Per-origin dot counters must appear in strictly increasing order in any
 /// causally-correct visibility log: same-origin transactions are chained by
 /// their pending-dependency links (section 3.7).
-void check_origin_order(const VisibilityLog& log, const std::string& replica,
+void check_origin_order(const std::vector<Dot>& log, const std::string& replica,
                         Report& report) {
   std::unordered_map<NodeId, std::uint64_t> last;
-  for (const Dot& dot : log.entries()) {
+  for (const Dot& dot : log) {
     auto [it, fresh] = last.try_emplace(dot.origin, dot.counter);
     if (!fresh) {
       if (dot.counter <= it->second) {
@@ -138,7 +138,7 @@ void check_causal_order(const Cluster& cluster, Report& report) {
     const DcNode& dc = cluster.dc(d);
     VersionVector running(cluster.num_dcs());
     std::size_t position = 0;
-    for (const Dot& dot : dc.engine().log().entries()) {
+    for (const Dot& dot : dc.engine().log()) {
       const Transaction* txn = dc.txns().find(dot);
       if (txn == nullptr) {
         report.add("causal-order", replica_name(d) + " log entry " +
@@ -170,8 +170,8 @@ void check_causal_order(const Cluster& cluster, Report& report) {
   // no entry causally depends on a later entry.
   for (std::size_t i = 0; i < cluster.num_edges(); ++i) {
     const EdgeNode& edge = cluster.edge(i);
-    const auto& entries = edge.engine().log().entries();
-    check_origin_order(edge.engine().log(), replica_name(edge), report);
+    const auto& entries = edge.engine().log();
+    check_origin_order(entries, replica_name(edge), report);
 
     std::vector<const Transaction*> txns(entries.size(), nullptr);
     std::vector<VersionVector> snapshots(entries.size());

@@ -42,11 +42,6 @@ class VersionVector {
 
   bool operator==(const VersionVector& other) const { return v_ == other.v_; }
 
-  /// Strict total order for use as a map key; NOT the causal order.
-  [[nodiscard]] bool lexicographic_less(const VersionVector& other) const {
-    return v_ < other.v_;
-  }
-
   [[nodiscard]] std::string to_string() const;
 
   void encode(Encoder& enc) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/codec.hpp"
 
 namespace colony {
 
@@ -147,9 +148,8 @@ void VisibilityEngine::apply_unscheduled(const Transaction& txn) {
   const Dot dot = txn.meta.dot;
   const bool masked = security_check_ != nullptr && !security_check_(txn);
   apply_ops(txn, masked);
-  applied_.insert(dot);
+  mark_applied(dot);
   if (masked) mark_masked(dot, txn);
-  log_.append(dot);
   if (txn.meta.concrete) advance_state(txn.meta);
   if (!masked) on_visible(txn);
   if (pending_set_.contains(dot)) remove_pending(dot);
@@ -162,6 +162,11 @@ void VisibilityEngine::apply_ops(const Transaction& txn, bool masked) {
     if (key_filter_ != nullptr && !key_filter_(op.key)) continue;
     store_.apply(op.key, op.type, txn.meta.dot, op.payload, masked);
   }
+}
+
+void VisibilityEngine::mark_applied(const Dot& dot) {
+  applied_.insert(dot);
+  log_.push_back(dot);
 }
 
 void VisibilityEngine::mark_masked(const Dot& dot, const Transaction& txn) {
@@ -437,9 +442,8 @@ bool VisibilityEngine::try_apply(const Dot& dot) {
 
   remove_pending(dot);
   apply_ops(*txn, masked);
-  applied_.insert(dot);
+  mark_applied(dot);
   if (masked) mark_masked(dot, *txn);
-  log_.append(dot);
   advance_state(txn->meta);
   if (!masked) on_visible(*txn);
   fire_apply_event(dot);
@@ -478,7 +482,7 @@ std::size_t VisibilityEngine::recompute_masks() {
   std::unordered_set<Dot> new_masked;
   std::unordered_set<Dot> flipped;
 
-  for (const Dot& dot : log_.entries()) {
+  for (const Dot& dot : log_) {
     const Transaction* txn = txns_.find(dot);
     COLONY_ASSERT(txn != nullptr, "visibility log references unknown txn");
     const bool is_policy_txn =
@@ -533,7 +537,7 @@ void VisibilityEngine::reapply_missing(const ObjectKey& key,
                                        const ObjectSnapshot& snap) {
   const std::unordered_set<Dot> in_snapshot(snap.applied.begin(),
                                             snap.applied.end());
-  for (const Dot& dot : log_.entries()) {
+  for (const Dot& dot : log_) {
     if (in_snapshot.contains(dot)) continue;
     const Transaction* txn = txns_.find(dot);
     if (txn == nullptr) continue;
@@ -570,14 +574,9 @@ void VisibilityEngine::encode_state(Encoder& enc) const {
   state_.encode(enc);
   seeded_cut_.encode(enc);
   applied_slots_.encode(enc);
-  log_.encode(enc);
-  const auto write_dots = [&enc](const std::vector<Dot>& dots) {
-    enc.u32(static_cast<std::uint32_t>(dots.size()));
-    for (const Dot& dot : dots) dot.encode(enc);
-  };
-  write_dots(sorted_dots(applied_));
-  write_dots(sorted_dots(masked_));
-  write_dots(sorted_dots(pending_set_));
+  codec::write(enc, log_);
+  codec::write(enc, sorted_dots(masked_));
+  codec::write(enc, sorted_dots(pending_set_));
 }
 
 void VisibilityEngine::decode_state(Decoder& dec) {
@@ -585,15 +584,12 @@ void VisibilityEngine::decode_state(Decoder& dec) {
   state_ = VersionVector::decode(dec);
   seeded_cut_ = VersionVector::decode(dec);
   applied_slots_.decode(dec);
-  log_.decode(dec);
+  codec::read_into(dec, log_);
+  applied_.insert(log_.begin(), log_.end());
   const auto read_dots = [&dec](std::unordered_set<Dot>& out) {
-    const std::uint32_t n = dec.u32();
-    if (n > dec.remaining()) dec.fail();
-    for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-      out.insert(Dot::decode(dec));
-    }
+    const auto dots = codec::read<std::vector<Dot>>(dec);
+    out.insert(dots.begin(), dots.end());
   };
-  read_dots(applied_);
   read_dots(masked_);
   read_dots(pending_set_);
   rebuild_masked_index();

@@ -34,7 +34,6 @@
 
 #include "clock/dot_tracker.hpp"
 #include "core/txn.hpp"
-#include "core/txn_log.hpp"
 #include "storage/journal_store.hpp"
 
 namespace colony {
@@ -108,7 +107,9 @@ class VisibilityEngine {
   void apply_local(const Dot& dot);
 
   [[nodiscard]] const VersionVector& state_vector() const { return state_; }
-  [[nodiscard]] const VisibilityLog& log() const { return log_; }
+  /// The visibility log (paper section 5.1.4): every applied dot, in the
+  /// order it became visible here. applied_set() is its index.
+  [[nodiscard]] const std::vector<Dot>& log() const { return log_; }
   [[nodiscard]] bool is_applied(const Dot& dot) const {
     return applied_.contains(dot);
   }
@@ -118,7 +119,7 @@ class VisibilityEngine {
   [[nodiscard]] std::size_t pending_count() const {
     return pending_set_.size();
   }
-  /// Every applied dot (invariant checkers audit this against the log).
+  /// Every applied dot: the set of log() entries.
   [[nodiscard]] const std::unordered_set<Dot>& applied_set() const {
     return applied_;
   }
@@ -201,7 +202,8 @@ class VisibilityEngine {
   // --- durability (checkpoint export/import) -------------------------------
 
   /// Serialize the engine's durable state: state vector, seeded cut,
-  /// applied commit slots, visibility log, applied/masked/pending sets.
+  /// applied commit slots, visibility log, masked/pending sets. The log
+  /// is the applied set; decode_state rebuilds the index from it.
   /// Deterministic — unordered sets encode sorted — so byte equality of
   /// two encodings proves state equality. Scheduler wake structures are
   /// derived state and are NOT serialized; decode_state rebuilds them.
@@ -222,6 +224,8 @@ class VisibilityEngine {
   /// order), then drain whatever that unblocked.
   void apply_unscheduled(const Transaction& txn);
   void apply_ops(const Transaction& txn, bool masked);
+  /// Record `dot` as applied: appended to the log and its index.
+  void mark_applied(const Dot& dot);
   /// Advance state_ with an applied transaction's commit knowledge —
   /// contiguously per component when sequential_ is set — and fire the
   /// state wakes of every component that moved.
@@ -266,7 +270,8 @@ class VisibilityEngine {
   /// Per-DC applied commit slots (origin = DcId): contiguous prefix plus
   /// out-of-order slots, used only in sequential mode.
   DotTracker applied_slots_;
-  VisibilityLog log_;
+  /// Applied dots in visibility order, and the same dots as a set.
+  std::vector<Dot> log_;
   std::unordered_set<Dot> applied_;
   std::unordered_set<Dot> masked_;
   std::unordered_set<Dot> pending_set_;

@@ -76,7 +76,6 @@ void DcNode::on_txn_visible(const Transaction& txn) {
       tell(peer, proto::kReplicateTxn, proto::ReplicateTxn{txn});
     }
   }
-  dc_states_[config_.dc_id] = engine_.state_vector();
   recompute_k_cut();
   push_sessions();
 }
@@ -103,6 +102,7 @@ void DcNode::fan_out_to_shards(const Transaction& txn) {
 }
 
 void DcNode::recompute_k_cut() {
+  dc_states_[config_.dc_id] = engine_.state_vector();
   k_cut_ = k_stable_cut(dc_states_, config_.k_stability);
   // Cap the cut by what this DC has itself applied: gossip can prove a
   // transaction K-replicated *elsewhere* while a partition still keeps it
@@ -135,7 +135,6 @@ std::optional<ObjectSnapshot> DcNode::export_k_stable(
 // ---------------------------------------------------------------------------
 
 void DcNode::gossip_tick() {
-  dc_states_[config_.dc_id] = engine_.state_vector();
   for (const NodeId peer : peers_) {
     tell(peer, proto::kDcGossip,
          proto::DcGossip{config_.dc_id, engine_.state_vector()});
@@ -214,7 +213,7 @@ void DcNode::push_session(NodeId node, EdgeSession& session, bool announce) {
     session.connected = true;
     resync_session(session);
   }
-  const auto& log = engine_.log().entries();
+  const auto& log = engine_.log();
   // Push the K-stable prefix of the visibility log that intersects the
   // session's interest set, in log (causal) order. The round's last push is
   // held back so the round's cut can ride on it.
@@ -267,7 +266,7 @@ VersionVector DcNode::session_cut(const EdgeSession& session) const {
   // the subscriber would otherwise seed past values only a second channel
   // (after a migration) could show it first.
   VersionVector cut = k_cut_;
-  const auto& log = engine_.log().entries();
+  const auto& log = engine_.log();
   for (std::size_t i = session.cursor; i < log.size(); ++i) {
     const Transaction* txn = txns_.find(log[i]);
     if (txn == nullptr) continue;
@@ -297,7 +296,7 @@ void DcNode::resync_session(EdgeSession& session) {
 void DcNode::open_cursor(EdgeSession& session,
                          const VersionVector& cut) const {
   if (session.cursor != 0) return;  // already open
-  const auto& log = engine_.log().entries();
+  const auto& log = engine_.log();
   std::size_t boundary = 0;
   while (boundary < log.size() && txns_.visible_at(log[boundary], cut)) {
     ++boundary;
@@ -698,7 +697,6 @@ void DcNode::apply_commit(Transaction txn) {
 
 void DcNode::apply_ingest(Transaction txn) {
   engine_.ingest(std::move(txn));
-  dc_states_[config_.dc_id] = engine_.state_vector();
   recompute_k_cut();
 }
 
@@ -713,9 +711,8 @@ void DcNode::apply_session(NodeId node, const SessionRecord& record) {
 }
 
 void DcNode::apply_advance_base() {
-  // The live bake runs right after a gossip tick refreshed this DC's own
-  // entry and the cut; refresh both so a replayed bake sees the same cut.
-  dc_states_[config_.dc_id] = engine_.state_vector();
+  // The live bake runs right after a gossip tick refreshed the cut;
+  // refresh it so a replayed bake sees the same cut.
   recompute_k_cut();
   const auto pred = k_stable_predicate();
   for (const ObjectKey& key : store_.keys()) {
@@ -739,7 +736,7 @@ void DcNode::replay_record(std::uint32_t type, ByteView payload) {
 }
 
 void DcNode::encode_checkpoint(Encoder& enc) const {
-  enc.u32(2);  // checkpoint layout version
+  enc.u32(3);  // checkpoint layout version
   enc.u64(local_dot_counter_);
   enc.u64(gossip_count_);
   codec::write(enc, my_commits_);
@@ -757,7 +754,7 @@ void DcNode::encode_checkpoint(Encoder& enc) const {
 void DcNode::decode_checkpoint(ByteView snapshot) {
   Decoder dec(snapshot);
   const std::uint32_t version = dec.u32();
-  COLONY_ASSERT(version == 2, "unknown DC checkpoint layout");
+  COLONY_ASSERT(version == 3, "unknown DC checkpoint layout");
   local_dot_counter_ = dec.u64();
   gossip_count_ = dec.u64();
   my_commits_ = codec::read<std::vector<Dot>>(dec);
@@ -813,10 +810,7 @@ void DcNode::wipe() {
   engine_.reset();
 }
 
-void DcNode::after_replay() {
-  dc_states_[config_.dc_id] = engine_.state_vector();
-  recompute_k_cut();
-}
+void DcNode::after_replay() { recompute_k_cut(); }
 
 void DcNode::on_start() {
   for (auto& [node, session] : sessions_) session.connected = false;

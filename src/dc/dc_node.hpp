@@ -139,6 +139,8 @@ class DcNode final : public storage::DurableNode {
   // Internals.
   void on_txn_visible(const Transaction& txn);
   void fan_out_to_shards(const Transaction& txn);
+  /// Refresh this DC's own dc_states_ row from its state vector (the one
+  /// place it is written), then recompute k_cut_ from the rows.
   void recompute_k_cut();
   /// Push each session's new K-stable entries. A moved cut rides the
   /// round's last push; without one it goes out alone only if `announce`
@@ -206,8 +208,7 @@ class DcNode final : public storage::DurableNode {
   /// parked executions, gossip cadence) and session progress counters.
   void encode_durable(Encoder& enc) const override;
   void wipe() override;
-  /// This DC's own dc_states_ entry tracks its state vector, and k_cut_
-  /// follows (every live handler maintains both).
+  /// Recompute the cut, which refreshes this DC's own dc_states_ row.
   void after_replay() override;
   /// Rewind every session on the next push round and restart gossip.
   void on_start() override;

@@ -824,14 +824,14 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
 }
 
 void EdgeNode::encode_checkpoint(Encoder& enc) const {
-  enc.u32(1);  // checkpoint layout version
+  enc.u32(2);  // checkpoint layout version
   encode_durable(enc);
 }
 
 void EdgeNode::decode_checkpoint(ByteView snapshot) {
   Decoder dec(snapshot);
   const std::uint32_t version = dec.u32();
-  COLONY_ASSERT(version == 1, "unknown edge checkpoint layout");
+  COLONY_ASSERT(version == 2, "unknown edge checkpoint layout");
   config_.dc = dec.u64();
   dot_counter_ = dec.u64();
   commits_ = dec.u64();

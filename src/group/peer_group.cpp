@@ -373,7 +373,7 @@ void PeerGroupParent::on_message(NodeId from, std::uint32_t kind,
     }
     case proto::kPushTxn: {
       const auto msg = codec::from_bytes<proto::PushTxn>(body);
-      const auto push = dc_recv_.on_push(msg.session_seq);
+      const auto push = dc_recv_[from].on_push(msg.session_seq);
       if (push.ack != 0) {
         tell(from, proto::kPushAck, proto::PushAck{push.ack});
       }
@@ -387,7 +387,7 @@ void PeerGroupParent::on_message(NodeId from, std::uint32_t kind,
     }
     case proto::kStateUpdate: {
       const auto msg = codec::from_bytes<proto::StateUpdate>(body);
-      if (!dc_recv_.covers(msg.seq_watermark)) break;  // lost-push window
+      if (!dc_recv_[from].covers(msg.seq_watermark)) break;  // lost-push window
       seed_cut(msg.cut);
       for (const NodeId m : members_) {  // cleared watermark: see relay_push
         tell(m, proto::kStateUpdate, proto::StateUpdate{msg.cut, 0});

@@ -103,8 +103,9 @@ class PeerGroupParent final : public sim::RpcActor {
   TxnStore txns_;
   JournalStore store_;
   VisibilityEngine engine_;
-  /// Receive state of the parent's acknowledged DC session channel.
-  proto::PushChannelRecv dc_recv_;
+  /// Receive state of the acknowledged session channel, per sending DC: a
+  /// migration opens a new channel whose sequence starts again at 1.
+  std::map<NodeId, proto::PushChannelRecv> dc_recv_;
 
   std::unique_ptr<consensus::Epaxos> epaxos_;
   /// The group's SI order, as every member derives it.

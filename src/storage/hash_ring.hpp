@@ -25,7 +25,6 @@ class HashRing {
   /// Shard owning `key`. The ring must be non-empty.
   [[nodiscard]] std::uint32_t owner(const ObjectKey& key) const;
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] bool empty() const { return ring_.empty(); }
 
   /// 64-bit FNV-1a, exposed for tests and for the workload generator.

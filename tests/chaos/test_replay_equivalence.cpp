@@ -242,7 +242,7 @@ RunImage run_history(std::uint64_t seed, Replay replay) {
   Encoder engine_enc;
   engine.encode_state(engine_enc);
   image.engine = engine_enc.take();
-  image.log = engine.log().entries();
+  image.log = engine.log();
   image.visible = visible_image(engine, store);
   return image;
 }

@@ -255,16 +255,13 @@ void ReferenceDrain::sync_from_primary() {
   state_ = VersionVector::decode(dec);
   (void)VersionVector::decode(dec);  // seeded cut: outside the relation
   applied_slots_.decode(dec);
-  VisibilityLog log;
-  log.decode(dec);
-  log_ = log.entries();
   const auto read_dots = [&dec] {
     std::vector<Dot> dots(dec.u32());
     for (Dot& dot : dots) dot = Dot::decode(dec);
     return dots;
   };
-  const std::vector<Dot> applied = read_dots();
-  applied_.insert(applied.begin(), applied.end());
+  log_ = read_dots();  // the applied set, in visibility order
+  applied_.insert(log_.begin(), log_.end());
   const std::vector<Dot> masked = read_dots();
   masked_.insert(masked.begin(), masked.end());
   pending_ = read_dots();  // sorted: a deterministic arrival order

@@ -209,7 +209,7 @@ TEST(ApplyPool, EngineBacklogDrainEquivalence) {
     Encoder state;
     engine.encode_state(state);
     return std::tuple{store_bytes(store), state.take(),
-                      engine.log().entries()};
+                      engine.log()};
   };
 
   const auto in_order = run(false);

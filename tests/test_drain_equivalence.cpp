@@ -226,8 +226,8 @@ TEST_F(WakeGuardTest, SymbolicCommitsResolvedOutOfOrder) {
   EXPECT_EQ(engine.pending_count(), 0u);
   EXPECT_EQ(engine.state_vector(), (VersionVector{2, 0}));
   ASSERT_EQ(engine.log().size(), 2u);
-  EXPECT_EQ(engine.log().entries()[0], (Dot{7, 1}));
-  EXPECT_EQ(engine.log().entries()[1], (Dot{7, 2}));
+  EXPECT_EQ(engine.log()[0], (Dot{7, 1}));
+  EXPECT_EQ(engine.log()[1], (Dot{7, 2}));
 }
 
 TEST_F(WakeGuardTest, AdmitWakesDependantThroughGuardChain) {
@@ -308,8 +308,8 @@ TEST_F(WakeGuardTest, BatchOrderDefersBehindCoveredPendingPredecessor) {
   wide.drain();
   EXPECT_EQ(wide.pending_count(), 0u);
   ASSERT_EQ(wide.log().size(), 2u);
-  EXPECT_EQ(wide.log().entries()[0], (Dot{100, 1}));
-  EXPECT_EQ(wide.log().entries()[1], (Dot{100, 2}));
+  EXPECT_EQ(wide.log()[0], (Dot{100, 1}));
+  EXPECT_EQ(wide.log()[1], (Dot{100, 2}));
 }
 
 TEST_F(WakeGuardTest, MaskFlipRebuildsIndexAndValues) {

@@ -167,5 +167,61 @@ TEST(GroupMigration, OfflineSubtreeFlushesAtNewDc) {
   EXPECT_EQ(a.unacked_count(), 0u);
 }
 
+
+TEST(GroupMigration, ParentRecoversPushLostAfterMigration) {
+  // The parent's channel to its new DC starts again at sequence 1. Receive
+  // state must be kept per sending DC: measured against the old DC's
+  // prefix, the new DC's pushes look like duplicates, a lost one is never
+  // detected, and the cut on its successor is seeded past the loss.
+  ClusterConfig cfg;
+  cfg.num_dcs = 2;
+  Cluster cluster(cfg);
+  PeerGroupParent& parent = cluster.add_group_parent(0);
+  EdgeNode& a = cluster.add_edge(ClientMode::kPeerGroup, 0, 1);
+  EdgeNode& w = cluster.add_edge(ClientMode::kClientCache, 1, 2);
+  cluster.wire_peer_links({parent.id(), a.id()});
+  a.join_group(parent.id(), [](Result<void>) {});
+  cluster.run_for(1 * kSecond);
+
+  Session sa(a), sw(w);
+  sa.subscribe({kX}, [](Result<void>) {});
+  sw.subscribe({kX}, [](Result<void>) {});
+  cluster.run_for(500 * kMillisecond);
+  const auto add = [&](std::int64_t n) {
+    auto txn = sw.begin();
+    sw.increment(txn, kX, n);
+    ASSERT_TRUE(sw.commit(std::move(txn)).ok());
+  };
+  // Five pushes reach the parent from DC0.
+  for (int i = 0; i < 5; ++i) {
+    add(1);
+    cluster.run_for(500 * kMillisecond);
+  }
+  ASSERT_EQ(value_of(parent.store().current(kX)), 5);
+
+  bool migrated = false;
+  parent.migrate_to_dc(cluster.dc_node_id(1), [&](Result<void> r) {
+    migrated = r.ok();
+  });
+  cluster.run_for(2 * kSecond);
+  ASSERT_TRUE(migrated);
+  cluster.set_uplink(parent.id(), 0, false);
+
+  // DC1's first push to the parent is lost.
+  sim::LatencyModel lossy = cfg.pop_uplink;
+  lossy.loss_rate = 1.0;
+  cluster.network().connect(parent.id(), cluster.dc_node_id(1), lossy);
+  add(10);
+  cluster.run_for(1 * kSecond);
+  cluster.network().connect(parent.id(), cluster.dc_node_id(1),
+                            cfg.pop_uplink);
+  add(100);
+  cluster.run_for(10 * kSecond);
+
+  EXPECT_EQ(value_of(cluster.dc(1).store().current(kX)), 115);
+  EXPECT_EQ(value_of(parent.store().current(kX)), 115);
+  EXPECT_EQ(value_of(a.store().current(kX)), 115);
+}
+
 }  // namespace
 }  // namespace colony

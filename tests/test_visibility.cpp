@@ -52,8 +52,8 @@ TEST_F(VisibilityTest, BuffersUntilDependencyArrives) {
   EXPECT_EQ(value_of(store), 2);
   EXPECT_EQ(engine.pending_count(), 0u);
   // Log order respects causality.
-  EXPECT_EQ(engine.log().entries()[0], (Dot{100, 1}));
-  EXPECT_EQ(engine.log().entries()[1], (Dot{100, 2}));
+  EXPECT_EQ(engine.log()[0], (Dot{100, 1}));
+  EXPECT_EQ(engine.log()[1], (Dot{100, 2}));
 }
 
 TEST_F(VisibilityTest, CrossDcDependency) {
@@ -204,6 +204,62 @@ TEST_F(VisibilityTest, VisiblePredicateFiltersMasked) {
   EXPECT_FALSE(pred(Dot{100, 1}));
   EXPECT_TRUE(pred(Dot{101, 1}));
   EXPECT_FALSE(pred(Dot{9, 9}));  // unknown
+}
+
+
+TEST_F(VisibilityTest, CheckpointHoldsEachAppliedDotOnce) {
+  // The log is the applied set: the checkpoint writes each applied dot
+  // once (16 bytes), and decoding rebuilds the set from the log.
+  engine.set_security_check(
+      [](const Transaction& txn) { return txn.meta.user != 666; });
+  engine.ingest(txn_at_dc(1, 1, VersionVector{0, 0}, 1, /*user=*/666));
+  ASSERT_TRUE(engine.is_masked({101, 1}));
+  Transaction local;
+  local.meta.dot = Dot{7, 1};
+  local.meta.origin = 7;
+  local.meta.snapshot = VersionVector{0, 0};
+  local.ops.push_back(
+      OpRecord{kX, CrdtType::kPnCounter, PnCounter::prepare_add(5)});
+  engine.ingest(local);
+  engine.apply_local(local.meta.dot);
+  engine.ingest(txn_at_dc(1, 3, VersionVector{0, 2}));  // stays pending
+  ASSERT_EQ(engine.pending_count(), 1u);
+
+  const auto encoded_size = [this] {
+    Encoder enc;
+    engine.encode_state(enc);
+    return enc.data().size();
+  };
+  constexpr Timestamp kBatch = 8;
+  Timestamp ts = 0;
+  const auto apply_batch = [&] {
+    for (Timestamp i = 0; i < kBatch; ++i, ++ts) {
+      engine.ingest(txn_at_dc(0, ts + 1, VersionVector{ts, 0}));
+    }
+  };
+  apply_batch();
+  const std::size_t before = encoded_size();
+  apply_batch();
+  ASSERT_EQ(engine.log().size(), 2 + 2 * kBatch);
+  EXPECT_EQ(encoded_size() - before, kBatch * 16);
+
+  Encoder enc;
+  engine.encode_state(enc);
+  JournalStore other_store;
+  VisibilityEngine restored{txns, other_store, 2};
+  Decoder dec(enc.data());
+  restored.decode_state(dec);
+  ASSERT_TRUE(dec.ok() && dec.done());
+  EXPECT_EQ(restored.log(), engine.log());
+  EXPECT_EQ(restored.applied_set(), std::unordered_set<Dot>(
+                                        engine.log().begin(),
+                                        engine.log().end()));
+  EXPECT_EQ(restored.applied_set(), engine.applied_set());
+  EXPECT_TRUE(restored.is_masked({101, 1}));
+  EXPECT_EQ(restored.pending_count(), 1u);
+  Encoder again;
+  restored.encode_state(again);
+  EXPECT_EQ(again.data(), enc.data());
 }
 
 }  // namespace
