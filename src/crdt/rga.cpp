@@ -1,6 +1,7 @@
 #include "crdt/rga.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/assert.hpp"
 
@@ -37,31 +38,37 @@ void Rga::insert_node(const Dot& parent, const Dot& id, Node node) {
 }
 
 void Rga::attach(const Dot& parent, const Dot& id, Node node) {
-  const Arb arb = node.arb;
-  nodes_.emplace(id, std::move(node));
-  ++live_count_;
+  // Attaching an element can release orphans waiting on it, and they theirs:
+  // a work list rather than recursion, since such a chain can be as long as
+  // the sequence. It stays empty (unallocated) when nothing was waiting.
+  std::vector<std::tuple<Dot, Dot, Node>> released;
+  Dot at = parent;
+  Dot elem = id;
+  for (;;) {
+    if (!nodes_.contains(elem)) {
+      const Arb arb = node.arb;
+      nodes_.emplace(elem, std::move(node));
+      ++live_count_;
 
-  auto& children = nodes_.at(parent).children;
-  const auto pos = std::find_if(
-      children.begin(), children.end(),
-      [&](const Dot& sibling) { return nodes_.at(sibling).arb < arb; });
-  children.insert(pos, id);
+      auto& children = nodes_.at(at).children;
+      const auto pos = std::find_if(
+          children.begin(), children.end(),
+          [&](const Dot& sibling) { return nodes_.at(sibling).arb < arb; });
+      children.insert(pos, elem);
 
-  // A buffered remove may have been waiting for this element.
-  if (orphan_removes_.erase(id) > 0) remove_node(id);
+      // A buffered remove may have been waiting for this element.
+      if (orphan_removes_.erase(elem) > 0) remove_node(elem);
 
-  // Attach any orphans that were waiting on this element (iteratively:
-  // attaching one can unblock a chain).
-  auto range = orphan_inserts_.equal_range(id);
-  std::vector<std::pair<Dot, Node>> ready;
-  for (auto it = range.first; it != range.second; ++it) {
-    ready.push_back(std::move(it->second));
-  }
-  orphan_inserts_.erase(range.first, range.second);
-  for (auto& [child_id, child_node] : ready) {
-    if (!nodes_.contains(child_id)) {
-      attach(id, child_id, std::move(child_node));
+      const auto range = orphan_inserts_.equal_range(elem);
+      for (auto it = range.first; it != range.second; ++it) {
+        released.emplace_back(elem, it->second.first,
+                              std::move(it->second.second));
+      }
+      orphan_inserts_.erase(range.first, range.second);
     }
+    if (released.empty()) return;
+    std::tie(at, elem, node) = std::move(released.back());
+    released.pop_back();
   }
 }
 
@@ -97,21 +104,28 @@ void Rga::apply(const Bytes& op) {
   }
 }
 
-void Rga::walk(const Dot& id, std::vector<const Node*>& out_nodes,
+void Rga::walk(std::vector<const Node*>& out_nodes,
                std::vector<Dot>* out_ids) const {
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
-  const Node& node = it->second;
-  if (id.valid() && !node.tombstone) {
-    out_nodes.push_back(&node);
-    if (out_ids != nullptr) out_ids->push_back(id);
+  // Pre-order from the root, siblings in order. An explicit stack: an
+  // append chain is as deep as it is long.
+  std::vector<Dot> stack{Dot{}};
+  while (!stack.empty()) {
+    const Dot id = stack.back();
+    stack.pop_back();
+    const auto it = nodes_.find(id);
+    if (it == nodes_.end()) continue;
+    const Node& node = it->second;
+    if (id.valid() && !node.tombstone) {
+      out_nodes.push_back(&node);
+      if (out_ids != nullptr) out_ids->push_back(id);
+    }
+    stack.insert(stack.end(), node.children.rbegin(), node.children.rend());
   }
-  for (const Dot& child : node.children) walk(child, out_nodes, out_ids);
 }
 
 std::vector<std::string> Rga::values() const {
   std::vector<const Node*> ordered;
-  walk(Dot{}, ordered, nullptr);
+  walk(ordered, nullptr);
   std::vector<std::string> out;
   out.reserve(ordered.size());
   for (const Node* n : ordered) out.push_back(n->value);
@@ -121,7 +135,7 @@ std::vector<std::string> Rga::values() const {
 Dot Rga::id_at(std::size_t index) const {
   std::vector<const Node*> ordered;
   std::vector<Dot> ids;
-  walk(Dot{}, ordered, &ids);
+  walk(ordered, &ids);
   COLONY_ASSERT(index < ids.size(), "RGA index out of range");
   return ids[index];
 }
@@ -129,7 +143,7 @@ Dot Rga::id_at(std::size_t index) const {
 Dot Rga::last_id() const {
   std::vector<const Node*> ordered;
   std::vector<Dot> ids;
-  walk(Dot{}, ordered, &ids);
+  walk(ordered, &ids);
   return ids.empty() ? Dot{} : ids.back();
 }
 

@@ -71,7 +71,7 @@ class Rga final : public Crdt {
   void insert_node(const Dot& parent, const Dot& id, Node node);
   void attach(const Dot& parent, const Dot& id, Node node);
   void remove_node(const Dot& id);
-  void walk(const Dot& id, std::vector<const Node*>& out_nodes,
+  void walk(std::vector<const Node*>& out_nodes,
             std::vector<Dot>* out_ids) const;
 
   std::unordered_map<Dot, Node> nodes_;  // root sentinel is Dot{}

@@ -51,10 +51,8 @@ enum Kind : std::uint32_t {
   kGroupLeave = 41,       // RPC  GroupLeaveReq -> (empty)
   kGroupMembership = 42,  // 1way MembershipMsg (parent -> members)
   kEpaxos = 43,           // 1way consensus::EpaxosMsg between members
-  kGroupCatchup = 44,     // RPC  CatchupReq -> CatchupResp
   kPeerFetch = 45,        // RPC  PeerFetchReq -> PeerFetchResp
   kResolutionRelay = 46,  // 1way ResolutionMsg (parent -> members)
-  kInterestUpdate = 47,   // 1way member interest-set publication
   kUnsubscribe = 48,      // 1way UnsubscribeMsg (edge -> DC/parent)
   kGroupPing = 49,        // RPC  parent -> member liveness probe
 };
@@ -81,10 +79,8 @@ enum Kind : std::uint32_t {
     case kGroupLeave: return "group-leave";
     case kGroupMembership: return "group-membership";
     case kEpaxos: return "epaxos";
-    case kGroupCatchup: return "group-catchup";
     case kPeerFetch: return "peer-fetch";
     case kResolutionRelay: return "resolution-relay";
-    case kInterestUpdate: return "interest-update";
     case kUnsubscribe: return "unsubscribe";
     case kGroupPing: return "group-ping";
     default: return "?";
@@ -383,20 +379,6 @@ struct EpaxosEnvelope {
   bool operator==(const EpaxosEnvelope&) const = default;
   auto fields() { return std::tie(epoch, msg); }
 };
-struct CatchupReq {
-  NodeId node = 0;
-
-  bool operator==(const CatchupReq&) const = default;
-  auto fields() { return std::tie(node); }
-};
-struct CatchupResp {
-  std::vector<consensus::CommitMsg> instances;
-  std::vector<Transaction> txns;  // records referenced by the instances
-  VersionVector cut;
-
-  bool operator==(const CatchupResp&) const = default;
-  auto fields() { return std::tie(instances, txns, cut); }
-};
 struct PeerFetchReq {
   ObjectKey key;
   bool subscribe = true;
@@ -420,13 +402,6 @@ struct ResolutionMsg {
 
   bool operator==(const ResolutionMsg&) const = default;
   auto fields() { return std::tie(dot, dc, ts, resolved_snapshot); }
-};
-struct InterestUpdate {
-  NodeId node = 0;
-  std::vector<ObjectKey> keys;
-
-  bool operator==(const InterestUpdate&) const = default;
-  auto fields() { return std::tie(node, keys); }
 };
 struct UnsubscribeMsg {
   std::vector<ObjectKey> keys;

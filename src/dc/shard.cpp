@@ -8,25 +8,28 @@ namespace colony {
 
 ShardServer::ShardServer(sim::Network& net, NodeId id) : RpcActor(net, id) {}
 
-proto::ShardReadResp ShardServer::read_value(const ObjectKey& key) const {
-  proto::ShardReadResp resp;
+Bytes ShardServer::read_reply(const ObjectKey& key) {
   const auto it = data_.find(key);
-  if (it == data_.end()) return resp;
-  resp.found = true;
-  resp.type = it->second.first;
-  resp.state = it->second.second->snapshot();
-  return resp;
+  if (it == data_.end()) return codec::to_bytes(proto::ShardReadResp{});
+  Object& obj = it->second;
+  if (!obj.reply) {
+    obj.reply = codec::to_bytes(
+        proto::ShardReadResp{true, obj.type, obj.crdt->snapshot()});
+  }
+  return *obj.reply;
 }
 
 void ShardServer::apply_ops(const std::vector<OpRecord>& ops) {
   for (const OpRecord& op : ops) {
     auto it = data_.find(op.key);
     if (it == data_.end()) {
-      it = data_.emplace(op.key, std::make_pair(op.type, make_crdt(op.type)))
+      it = data_.emplace(op.key, Object{op.type, make_crdt(op.type), {}})
                .first;
     }
-    COLONY_ASSERT(it->second.first == op.type, "shard object type mismatch");
-    it->second.second->apply(op.payload);
+    Object& obj = it->second;
+    COLONY_ASSERT(obj.type == op.type, "shard object type mismatch");
+    obj.crdt->apply(op.payload);
+    obj.reply.reset();
   }
 }
 
@@ -36,7 +39,7 @@ void ShardServer::serve_ready_reads() {
   };
   for (auto it = waiting_reads_.begin(); it != waiting_reads_.end();) {
     if (ready(*it)) {
-      it->reply(codec::to_bytes(read_value(it->key)));
+      it->reply(read_reply(it->key));
       it = waiting_reads_.erase(it);
     } else {
       ++it;
@@ -81,7 +84,7 @@ void ShardServer::on_request(NodeId /*from*/, std::uint32_t method,
                                              std::move(reply)});
         return;
       }
-      reply(codec::to_bytes(read_value(req.key)));
+      reply(read_reply(req.key));
       break;
     }
     case proto::kShardPrepare: {
@@ -90,7 +93,7 @@ void ShardServer::on_request(NodeId /*from*/, std::uint32_t method,
       bool ok = true;
       for (const OpRecord& op : req.ops) {
         const auto it = data_.find(op.key);
-        if (it != data_.end() && it->second.first != op.type) {
+        if (it != data_.end() && it->second.type != op.type) {
           ok = false;
           break;
         }

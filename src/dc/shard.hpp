@@ -10,11 +10,15 @@
 // The shard holds the materialised current value of the objects it owns;
 // the authoritative journal and visibility metadata live in the DC node,
 // which fans applied operations out to owners via kShardApply in apply
-// order.
+// order. A read ships the object's encoded snapshot. The shard keeps the
+// encoded reply from the first read after a change until the object's next
+// applied op, so repeated reads of an unchanged object copy bytes instead
+// of re-encoding it. Objects that are never read hold no copy.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "clock/dot_tracker.hpp"
@@ -33,7 +37,7 @@ class ShardServer final : public sim::RpcActor {
   /// Inspection: the materialised object, or nullptr if not owned here.
   [[nodiscard]] const Crdt* object(const ObjectKey& key) const {
     const auto it = data_.find(key);
-    return it == data_.end() ? nullptr : it->second.second.get();
+    return it == data_.end() ? nullptr : it->second.crdt.get();
   }
 
  protected:
@@ -43,6 +47,13 @@ class ShardServer final : public sim::RpcActor {
                   ByteView payload, ReplyFn reply) override;
 
  private:
+  struct Object {
+    CrdtType type;
+    std::unique_ptr<Crdt> crdt;
+    /// The encoded ShardReadResp carrying crdt->snapshot(), kept from the
+    /// first read after a change until the next op applied to crdt.
+    std::optional<Bytes> reply;
+  };
   struct PendingRead {
     Timestamp min_seq;
     ObjectKey key;
@@ -51,9 +62,10 @@ class ShardServer final : public sim::RpcActor {
 
   void apply_ops(const std::vector<OpRecord>& ops);
   void serve_ready_reads();
-  proto::ShardReadResp read_value(const ObjectKey& key) const;
+  /// The encoded kShardRead reply for `key` at the current state.
+  Bytes read_reply(const ObjectKey& key);
 
-  std::map<ObjectKey, std::pair<CrdtType, std::unique_ptr<Crdt>>> data_;
+  std::map<ObjectKey, Object> data_;
   std::map<std::uint64_t, std::vector<OpRecord>> prepared_;  // 2PC buffers
   std::vector<PendingRead> waiting_reads_;
   Timestamp applied_seq_ = 0;

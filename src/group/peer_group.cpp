@@ -403,15 +403,6 @@ void PeerGroupParent::on_message(NodeId from, std::uint32_t kind,
       }
       break;
     }
-    case proto::kInterestUpdate: {
-      const auto msg = codec::from_bytes<proto::InterestUpdate>(body);
-      auto& interest = member_interest_[msg.node];
-      for (const ObjectKey& key : msg.keys) {
-        interest.insert(key);
-        ensure_dc_interest(key);
-      }
-      break;
-    }
     default:
       break;
   }
@@ -438,13 +429,6 @@ void PeerGroupParent::on_request(NodeId from, std::uint32_t method,
                         codec::from_bytes<proto::PeerFetchReq>(payload),
                         std::move(reply));
       break;
-    case proto::kGroupCatchup: {
-      proto::CatchupResp resp;
-      resp.instances = epaxos_->committed_instances();
-      resp.cut = engine_.state_vector();
-      reply(codec::to_bytes(resp));
-      break;
-    }
     default:
       reply(Error{Error::Code::kInvalidArgument, "unknown parent method"});
   }

@@ -5,8 +5,9 @@
 //   [ kind u32 | len u32 | payload[len] | crc32c u32 ]   (little-endian)
 //
 // The CRC-32C covers header and payload. It runs on the SSE4.2 `crc32`
-// instruction when the CPU has it (checked once, at first use) and on a
-// slicing-by-8 table otherwise; both give the same value. A frame that is
+// instruction when the CPU has it (checked once, at first use), three
+// independent chains at a time on long buffers, and on a slicing-by-8 table
+// otherwise; all give the same value. A frame that is
 // truncated, whose length prefix overruns its buffer, or whose checksum
 // disagrees is rejected, so any flipped bit surfaces as loss (transport) or
 // as a torn tail (WAL) — never as a wrong value.
@@ -32,6 +33,10 @@ namespace detail {
 
 /// Slicing-by-8 tables: the path on CPUs without SSE4.2.
 [[nodiscard]] std::uint32_t crc32c_portable(ByteView data);
+
+/// The SSE4.2 path checksums buffers of at least three lanes in stripes of
+/// three lanes, one independent chain per lane.
+inline constexpr std::size_t kCrc32cLaneBytes = 256;
 
 /// The SSE4.2 path, or nullptr when this CPU (or a non-x86 build) lacks it.
 using Crc32cFn = std::uint32_t (*)(ByteView);

@@ -112,6 +112,40 @@ TEST(Rga, DuplicateInsertIgnored) {
   EXPECT_EQ(seq.size(), 1u);
 }
 
+// An append chain is a path in the insertion tree as deep as the sequence
+// is long; no walk may recurse along it.
+constexpr std::uint64_t kLongChain = 100'000;
+
+TEST(RgaTest, HundredThousandAppendChainDoesNotOverflow) {
+  Rga seq;
+  for (std::uint64_t i = 1; i <= kLongChain; ++i) {
+    const Dot after = i == 1 ? Dot{} : Dot{1, i - 1};
+    seq.apply(Rga::prepare_insert(after, "m", arb(i, 1, i)));
+  }
+  EXPECT_EQ(seq.last_id(), (Dot{1, kLongChain}));
+  EXPECT_EQ(seq.values().size(), kLongChain);
+  const Bytes snap = seq.snapshot();
+  Rga restored;
+  restored.restore(snap);
+  EXPECT_EQ(restored.size(), kLongChain);
+  EXPECT_EQ(restored.snapshot(), snap);
+  const auto copy = seq.clone();
+  EXPECT_EQ(copy->snapshot(), snap);
+}
+
+TEST(RgaTest, HundredThousandOrphanChainAttachesWhenItsRootArrives) {
+  // Delivered last to first: every element but the first waits on its
+  // predecessor, and the first one releases the whole chain.
+  Rga seq;
+  for (std::uint64_t i = kLongChain; i >= 1; --i) {
+    const Dot after = i == 1 ? Dot{} : Dot{1, i - 1};
+    seq.apply(Rga::prepare_insert(after, "m", arb(i, 1, i)));
+  }
+  EXPECT_EQ(seq.orphan_count(), 0u);
+  EXPECT_EQ(seq.size(), kLongChain);
+  EXPECT_EQ(seq.last_id(), (Dot{1, kLongChain}));
+}
+
 TEST(RgaDeath, IndexOutOfRange) {
   Rga seq;
   EXPECT_DEATH((void)seq.id_at(0), "out of range");

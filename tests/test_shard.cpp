@@ -3,6 +3,7 @@
 
 #include "crdt/counter.hpp"
 #include "crdt/or_set.hpp"
+#include "crdt/rga.hpp"
 #include "dc/shard.hpp"
 
 namespace colony {
@@ -24,15 +25,34 @@ class ShardTest : public ::testing::Test {
   };
 
   void apply(Timestamp seq, Dot dot, std::int64_t delta) {
+    apply_op(seq, dot, OpRecord{{"b", "x"}, CrdtType::kPnCounter,
+                                PnCounter::prepare_add(delta)});
+  }
+
+  void apply_op(Timestamp seq, Dot dot, OpRecord op) {
     proto::ShardApplyMsg msg;
     msg.seq = seq;
     msg.dot = dot;
-    msg.ops.push_back(OpRecord{{"b", "x"}, CrdtType::kPnCounter,
-                               PnCounter::prepare_add(delta)});
+    msg.ops.push_back(std::move(op));
     net.send(3, 2, proto::kShardApply, codec::to_bytes(msg));
     // Bounded drain: run_all would also fire pending RPC-timeout events
     // scheduled far in the future.
     sched.run_until(sched.now() + 10 * kMillisecond);
+  }
+
+  /// The state a read of `key` returns.
+  Bytes read_state(const ObjectKey& key) {
+    Bytes state;
+    client.call(2, proto::kShardRead, proto::ShardReadReq{key, 0},
+                [&](Result<Bytes> r) {
+                  ASSERT_TRUE(r.ok());
+                  const auto resp =
+                      codec::from_bytes<proto::ShardReadResp>(r.value());
+                  ASSERT_TRUE(resp.found);
+                  state = resp.state;
+                });
+    sched.run_until(sched.now() + 10 * kMillisecond);
+    return state;
   }
 
   sim::Scheduler sched;
@@ -64,6 +84,38 @@ TEST_F(ShardTest, ReadReturnsValue) {
               });
   sched.run_all();
   EXPECT_EQ(value, 7);
+}
+
+// A read after an apply must not be answered from the bytes kept for the
+// read before it; a filtered duplicate apply changes nothing.
+TEST_F(ShardTest, ReadAfterApplySeesNewState) {
+  const ObjectKey key{"b", "chat"};
+  auto insert = [&](std::uint64_t i) {
+    const Dot after = i == 1 ? Dot{} : Dot{9, i - 1};
+    return OpRecord{key, CrdtType::kRga,
+                    Rga::prepare_insert(after, "m" + std::to_string(i),
+                                        Arb{i, Dot{9, i}})};
+  };
+  apply_op(1, Dot{9, 1}, insert(1));
+  const Bytes first = read_state(key);
+  EXPECT_EQ(first, shard.object(key)->snapshot());
+  EXPECT_EQ(read_state(key), first);
+
+  apply_op(2, Dot{9, 2}, insert(2));
+  const Bytes second = read_state(key);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second, shard.object(key)->snapshot());
+
+  apply_op(3, Dot{9, 2}, insert(2));  // duplicate delivery of the dot
+  EXPECT_EQ(shard.applied_seq(), 3u);
+  EXPECT_EQ(read_state(key), second);
+  EXPECT_EQ(read_state(key), shard.object(key)->snapshot());
+
+  apply_op(4, Dot{9, 3}, OpRecord{key, CrdtType::kRga,
+                                  Rga::prepare_remove(Dot{9, 1})});
+  const Bytes third = read_state(key);
+  EXPECT_NE(third, second);
+  EXPECT_EQ(third, shard.object(key)->snapshot());
 }
 
 TEST_F(ShardTest, ReadOfUnknownKeyNotFound) {

@@ -178,12 +178,9 @@ WIRE_ROUNDTRIP_TEST(GroupJoinResp, kGroupJoin)
 WIRE_ROUNDTRIP_TEST(GroupLeaveReq, kGroupLeave)
 WIRE_ROUNDTRIP_TEST(MembershipMsg, kGroupMembership)
 WIRE_ROUNDTRIP_TEST(EpaxosEnvelope, kEpaxos)
-WIRE_ROUNDTRIP_TEST(CatchupReq, kGroupCatchup)
-WIRE_ROUNDTRIP_TEST(CatchupResp, kGroupCatchup)
 WIRE_ROUNDTRIP_TEST(PeerFetchReq, kPeerFetch)
 WIRE_ROUNDTRIP_TEST(PeerFetchResp, kPeerFetch)
 WIRE_ROUNDTRIP_TEST(ResolutionMsg, kResolutionRelay)
-WIRE_ROUNDTRIP_TEST(InterestUpdate, kInterestUpdate)
 WIRE_ROUNDTRIP_TEST(UnsubscribeMsg, kUnsubscribe)
 
 // Not a Kind of its own: the EPaxos command payload inside a group.
@@ -260,10 +257,8 @@ TEST(WireRoundTrip, EveryKindHasAName) {
       case proto::kGroupLeave:
       case proto::kGroupMembership:
       case proto::kEpaxos:
-      case proto::kGroupCatchup:
       case proto::kPeerFetch:
       case proto::kResolutionRelay:
-      case proto::kInterestUpdate:
       case proto::kUnsubscribe:
       case proto::kGroupPing:
         EXPECT_TRUE(known) << "kind " << kind << " unnamed";

@@ -122,7 +122,10 @@ std::uint32_t bitwise_crc32c(ByteView data) {
 }
 
 TEST(WireFrame, ChecksumPathsAgreeAtEveryLengthAndAlignment) {
-  constexpr std::size_t kMaxLength = 1100;
+  // Past two whole three-lane stripes of the hardware path, so that every
+  // stripe count up to two meets every tail length and alignment.
+  constexpr std::size_t kMaxLength = std::max<std::size_t>(
+      1100, 2 * 3 * sim::frame::detail::kCrc32cLaneBytes + 64);
   constexpr std::size_t kMaxOffset = 7;
   Bytes buffer(kMaxOffset + kMaxLength);
   std::uint32_t state = 0x12345678u;  // fixed seed, xorshift32
