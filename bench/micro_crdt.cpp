@@ -111,5 +111,40 @@ void BM_CrdtSnapshotRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_CrdtSnapshotRoundTrip);
 
+// An append chain, the shape of a chat channel's message list.
+void BM_RgaSnapshotRoundTrip(benchmark::State& state) {
+  Rga seq;
+  Dot last{};
+  for (std::uint64_t i = 1; i <= static_cast<std::uint64_t>(state.range(0));
+       ++i) {
+    const Arb arb{i, Dot{1, i}};
+    seq.apply(Rga::prepare_insert(last, "message", arb));
+    last = arb.dot;
+  }
+  for (auto _ : state) {
+    Rga copy;
+    copy.restore(seq.snapshot());
+    benchmark::DoNotOptimize(copy.size());
+  }
+}
+BENCHMARK(BM_RgaSnapshotRoundTrip)->Arg(64)->Arg(4096);
+
+// 64 fields, each a nested LWW register (type tag + nested snapshot) with
+// one presence tag.
+void BM_AwMapSnapshotRoundTrip(benchmark::State& state) {
+  AwMap map;
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    map.apply(AwMap::prepare_update(
+        "field" + std::to_string(i), CrdtType::kLwwRegister,
+        LwwRegister::prepare_assign("value", Arb{i, Dot{1, i}}), Dot{1, i}));
+  }
+  for (auto _ : state) {
+    AwMap copy;
+    copy.restore(map.snapshot());
+    benchmark::DoNotOptimize(copy.fields().size());
+  }
+}
+BENCHMARK(BM_AwMapSnapshotRoundTrip);
+
 }  // namespace
 }  // namespace colony

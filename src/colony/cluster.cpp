@@ -28,7 +28,7 @@ Cluster::Cluster(ClusterConfig config)
       const NodeId sid = kShardBase * (d + 1) + 1 + s;
       shards_.push_back(std::make_unique<ShardServer>(net_, sid));
       shard_ids[d].push_back(sid);
-      net_.connect(dc_node_id(d), sid, config_.intra_dc);
+      net_.connect(dc_node_id(d), sid, sim::latency::kIntraDc);
     }
   }
 
@@ -42,8 +42,6 @@ Cluster::Cluster(ClusterConfig config)
     dc_config.num_dcs = config_.num_dcs;
     dc_config.k_stability = config_.k_stability;
     dc_config.gossip_interval = config_.dc_gossip_interval;
-    dc_config.rpc_service_time = config_.dc_rpc_service_time;
-    dc_config.push_service_time = config_.dc_push_service_time;
     auto& disk = disks_[dc_node_id(d)];
     disk = std::make_unique<storage::Wal>();
     dc_config.disk = disk.get();
@@ -96,7 +94,7 @@ void Cluster::wire_peer_links(const std::vector<NodeId>& nodes) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
       if (!net_.link_exists(nodes[i], nodes[j])) {
-        net_.connect(nodes[i], nodes[j], config_.peer_link);
+        net_.connect(nodes[i], nodes[j], sim::latency::kPeerLink);
       }
     }
   }

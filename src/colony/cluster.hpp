@@ -27,15 +27,13 @@ struct ClusterConfig {
   std::size_t k_stability = 1;
   std::uint64_t seed = 42;
   /// Latency classes (defaults are the paper's constants, section 7.2).
+  /// The DC-to-shard fabric and peer-group links use sim::latency::kIntraDc
+  /// and kPeerLink.
   sim::LatencyModel inter_dc = sim::latency::kInterDc;
-  sim::LatencyModel intra_dc = sim::latency::kIntraDc;
   sim::LatencyModel edge_uplink = sim::latency::kCellular;
   sim::LatencyModel pop_uplink = sim::latency::kCarrierEthernet;
-  sim::LatencyModel peer_link = sim::latency::kPeerLink;
-  /// Forwarded into every DcConfig (service model, gossip cadence).
+  /// Forwarded into every DcConfig.
   SimTime dc_gossip_interval = 100 * kMillisecond;
-  SimTime dc_rpc_service_time = 150 * kMicrosecond;
-  SimTime dc_push_service_time = 15 * kMicrosecond;
 };
 
 class Cluster {

@@ -113,14 +113,8 @@ void Session::append(Txn& txn, const ObjectKey& key,
   // transaction's own prior appends to the same sequence.
   Dot after = cached != nullptr ? cached->last_id() : Dot{};
   for (const OpRecord& op : txn.ops) {
-    if (op.key == key && op.type == CrdtType::kRga) {
-      Decoder dec(op.payload);
-      if (dec.u8() == 1 /*insert*/) {
-        (void)Dot::decode(dec);
-        (void)dec.str();
-        after = Arb::decode(dec).dot;
-      }
-    }
+    if (op.key != key || op.type != CrdtType::kRga) continue;
+    if (const auto insert = Rga::as_insert(op.payload)) after = insert->arb.dot;
   }
   node_.update(txn, OpRecord{key, CrdtType::kRga,
                              Rga::prepare_insert(after, value,

@@ -11,27 +11,6 @@ VisibilityEngine::VisibilityEngine(TxnStore& txns, JournalStore& store,
                                    std::size_t num_dcs)
     : txns_(txns), store_(store), state_(num_dcs) {}
 
-namespace {
-
-/// Does `txn` causally depend on masked transaction `m` in a way that
-/// makes its values untrustworthy? Vector metadata only gives a
-/// conservative happened-before; masking *everything* after a masked
-/// transaction would freeze the system, so we propagate along real
-/// data-flow channels: the dependant was issued by the same origin (it
-/// built on its own masked state) or touches an object the masked
-/// transaction wrote (it read the masked value).
-bool masked_dependency(const Transaction& txn, const Transaction& m) {
-  if (txn.meta.origin == m.meta.origin) return true;
-  for (const OpRecord& a : txn.ops) {
-    for (const OpRecord& b : m.ops) {
-      if (a.key == b.key) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Event entry points. Each mutates the TxnStore at most once, runs the
 // scheduler, then tells the observer (if any) about the event.
@@ -353,8 +332,8 @@ void VisibilityEngine::index_coverage(const Dot& dot) {
   });
 }
 
-bool VisibilityEngine::masked_dependency_indexed(
-    const Transaction& txn, const VersionVector& eff) const {
+bool VisibilityEngine::masked_dependency(const Transaction& txn,
+                                         const VersionVector& eff) const {
   const auto bucket_hits = [&](const std::vector<Dot>& bucket) {
     for (const Dot& m : bucket) {
       if (!masked_.contains(m)) continue;
@@ -438,7 +417,7 @@ bool VisibilityEngine::try_apply(const Dot& dot) {
   }
 
   bool masked = security_check_ != nullptr && !security_check_(*txn);
-  if (!masked) masked = masked_dependency_indexed(*txn, eff);
+  if (!masked) masked = masked_dependency(*txn, eff);
 
   remove_pending(dot);
   apply_ops(*txn, masked);
@@ -479,8 +458,14 @@ void VisibilityEngine::pump() {
 // ---------------------------------------------------------------------------
 
 std::size_t VisibilityEngine::recompute_masks() {
-  std::unordered_set<Dot> new_masked;
-  std::unordered_set<Dot> flipped;
+  // Re-decide every applied transaction in log order, rebuilding masked_
+  // and its data-flow index as the walk goes, so the dependency test sees
+  // exactly the earlier decisions. Policy transactions keep their mask.
+  const std::unordered_set<Dot> old_masked = std::move(masked_);
+  masked_.clear();
+  masked_by_origin_.clear();
+  masked_by_key_.clear();
+  std::vector<Dot> flipped;
 
   for (const Dot& dot : log_) {
     const Transaction* txn = txns_.find(dot);
@@ -489,31 +474,19 @@ std::size_t VisibilityEngine::recompute_masks() {
         std::any_of(txn->ops.begin(), txn->ops.end(),
                     [&](const OpRecord& op) { return op.key == policy_key_; });
     bool masked = is_policy_txn
-                      ? masked_.contains(dot)
+                      ? old_masked.contains(dot)
                       : security_check_ != nullptr && !security_check_(*txn);
     if (!masked && !is_policy_txn) {
       VersionVector eff;
-      if (txns_.effective_snapshot(dot, eff)) {
-        for (const Dot& m : new_masked) {
-          const Transaction* masked_txn = txns_.find(m);
-          if (masked_txn != nullptr && txns_.visible_at(m, eff) &&
-              masked_dependency(*txn, *masked_txn)) {
-            masked = true;
-            break;
-          }
-        }
-      }
+      masked = txns_.effective_snapshot(dot, eff) &&
+               masked_dependency(*txn, eff);
     }
-    if (masked) new_masked.insert(dot);
-    const bool was = masked_.contains(dot);
-    if (was != masked) flipped.insert(dot);
+    if (masked) mark_masked(dot, *txn);
+    if (old_masked.contains(dot) != masked) flipped.push_back(dot);
   }
 
   std::size_t result = 0;
   if (!flipped.empty()) {
-    masked_ = std::move(new_masked);
-    rebuild_masked_index();
-
     // Rebuild the current value of every object touched by a flipped txn.
     std::vector<ObjectKey> to_rebuild;
     for (const Dot& dot : flipped) {

@@ -257,9 +257,16 @@ class VisibilityEngine {
   void index_coverage(const Dot& dot);
   void add_pending(const Dot& dot);
   void remove_pending(const Dot& dot);
-  /// Data-flow masked-dependency test via the per-origin/per-key buckets.
-  [[nodiscard]] bool masked_dependency_indexed(const Transaction& txn,
-                                               const VersionVector& eff) const;
+  /// Does `txn`, reading snapshot `eff`, causally depend on a masked
+  /// transaction in a way that makes its values untrustworthy? Vector
+  /// metadata only gives a conservative happened-before; masking
+  /// *everything* after a masked transaction would freeze the system, so
+  /// masks propagate along real data-flow channels: the dependant was
+  /// issued by the same origin (it built on its own masked state) or
+  /// touches an object the masked transaction wrote (it read the masked
+  /// value). Answered from the per-origin/per-key buckets.
+  [[nodiscard]] bool masked_dependency(const Transaction& txn,
+                                       const VersionVector& eff) const;
   void rebuild_masked_index();
 
   TxnStore& txns_;
@@ -310,8 +317,8 @@ class VisibilityEngine {
   bool draining_ = false;
 
   /// Data-flow index over masked_: origin -> masked dots, key -> masked
-  /// dots. masked_dependency(txn, m) holds iff m is in txn's origin bucket
-  /// or in a bucket of a key txn touches.
+  /// dots. `txn` depends on masked `m` iff m is in txn's origin bucket or
+  /// in a bucket of a key txn touches.
   std::unordered_map<NodeId, std::vector<Dot>> masked_by_origin_;
   std::unordered_map<ObjectKey, std::vector<Dot>> masked_by_key_;
 };

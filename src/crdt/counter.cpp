@@ -6,69 +6,26 @@ namespace colony {
 
 Bytes GCounter::prepare_increment(std::int64_t delta) {
   COLONY_ASSERT(delta >= 0, "GCounter increments must be non-negative");
-  Encoder enc;
-  enc.i64(delta);
-  return enc.take();
+  return codec::to_bytes(delta);
 }
 
 void GCounter::apply(const Bytes& op) {
-  Decoder dec(op);
-  const std::int64_t delta = dec.i64();
+  const auto delta = codec::from_bytes<std::int64_t>(op);
   COLONY_ASSERT(delta >= 0, "corrupt GCounter op");
   value_ += delta;
 }
 
-Bytes GCounter::snapshot() const {
-  Encoder enc;
-  enc.i64(value_);
-  return enc.take();
-}
-
-void GCounter::restore(const Bytes& snapshot) {
-  Decoder dec(snapshot);
-  value_ = dec.i64();
-}
-
-std::unique_ptr<Crdt> GCounter::clone() const {
-  auto copy = std::make_unique<GCounter>();
-  copy->value_ = value_;
-  return copy;
-}
-
 Bytes PnCounter::prepare_add(std::int64_t delta) {
-  Encoder enc;
-  enc.i64(delta);
-  return enc.take();
+  return codec::to_bytes(delta);
 }
 
 void PnCounter::apply(const Bytes& op) {
-  Decoder dec(op);
-  const std::int64_t delta = dec.i64();
+  const auto delta = codec::from_bytes<std::int64_t>(op);
   if (delta >= 0) {
     positive_ += delta;
   } else {
     negative_ += -delta;
   }
-}
-
-Bytes PnCounter::snapshot() const {
-  Encoder enc;
-  enc.i64(positive_);
-  enc.i64(negative_);
-  return enc.take();
-}
-
-void PnCounter::restore(const Bytes& snapshot) {
-  Decoder dec(snapshot);
-  positive_ = dec.i64();
-  negative_ = dec.i64();
-}
-
-std::unique_ptr<Crdt> PnCounter::clone() const {
-  auto copy = std::make_unique<PnCounter>();
-  copy->positive_ = positive_;
-  copy->negative_ = negative_;
-  return copy;
 }
 
 }  // namespace colony

@@ -8,13 +8,20 @@
 // Delivery contract: the visibility layer delivers operations in causal
 // order and exactly once per replica (dots filter duplicates). Effects here
 // may therefore assume their causal predecessors have been applied.
+//
+// A type declares its replicated state and its ops, and nothing else about
+// bytes: the generic codec (util/codec.hpp) lays out every op payload and
+// snapshot.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 
 #include "clock/dot.hpp"
+#include "util/assert.hpp"
 #include "util/binary_codec.hpp"
+#include "util/codec.hpp"
 
 namespace colony {
 
@@ -43,17 +50,7 @@ struct Arb {
   Dot dot;
 
   auto operator<=>(const Arb&) const = default;
-
-  void encode(Encoder& enc) const {
-    enc.u64(ts);
-    dot.encode(enc);
-  }
-  static Arb decode(Decoder& dec) {
-    Arb a;
-    a.ts = dec.u64();
-    a.dot = Dot::decode(dec);
-    return a;
-  }
+  auto fields() { return std::tie(ts, dot); }
 };
 
 /// Type-erased replicated object. Concrete types add typed prepare/read
@@ -86,5 +83,59 @@ class Crdt {
 /// dependency cycle). Idempotent per type.
 void register_crdt_factory(CrdtType type,
                            std::unique_ptr<Crdt> (*factory)());
+
+/// type() from the type's tag and clone() through its copy constructor.
+template <typename Derived, CrdtType kType>
+class CrdtOf : public Crdt {
+ public:
+  [[nodiscard]] CrdtType type() const final { return kType; }
+  [[nodiscard]] std::unique_ptr<Crdt> clone() const final {
+    return std::make_unique<Derived>(static_cast<const Derived&>(*this));
+  }
+};
+
+/// CrdtOf plus snapshot()/restore(): the snapshot is the codec layout of
+/// the members the type names once, as `auto state() { return
+/// std::tie(...); }`. Restore decodes straight into those members.
+template <typename Derived, CrdtType kType>
+class StateCrdt : public CrdtOf<Derived, kType> {
+ public:
+  [[nodiscard]] Bytes snapshot() const final {
+    // state() is non-const so restore can decode into it; writing does not
+    // mutate, so shedding constness here is safe.
+    return codec::to_bytes(
+        const_cast<Derived&>(static_cast<const Derived&>(*this)).state());
+  }
+  void restore(const Bytes& snapshot) final {
+    codec::from_bytes(snapshot, static_cast<Derived&>(*this).state());
+  }
+};
+
+/// How an op struct holds its fields. Apply decodes an `Op<Owned>`;
+/// prepare writes an `Op<Viewed>` of references to its arguments, so it
+/// copies nothing on the way to the encoder.
+template <typename T>
+using Owned = T;
+template <typename T>
+using Viewed = const T&;
+
+/// The payload of a type with several kinds of op: the kind byte (kinds
+/// count from 1), then that op's fields.
+template <typename Kind, typename Op>
+[[nodiscard]] Bytes kinded_op(Kind kind, const Op& op) {
+  return codec::to_bytes(std::forward_as_tuple(kind, op));
+}
+
+template <typename Kind>
+[[nodiscard]] Kind op_kind(const Bytes& op) {
+  COLONY_ASSERT(!op.empty(), "empty CRDT op");
+  return codec::from_bytes<Kind>(ByteView(op).first(1));
+}
+
+/// The op after the kind byte of a kinded_op payload.
+template <typename Op>
+[[nodiscard]] Op op_body(const Bytes& op) {
+  return codec::from_bytes<Op>(ByteView(op).subspan(1));
+}
 
 }  // namespace colony

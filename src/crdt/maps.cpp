@@ -4,62 +4,33 @@
 
 namespace colony {
 
-GMap::GMap(const GMap& other) {
-  for (const auto& [name, value] : other.entries_) {
-    entries_.emplace(name, value->clone());
-  }
+void NestedCrdt::apply(CrdtType type, const Bytes& op) {
+  if (value_ == nullptr) value_ = make_crdt(type);
+  COLONY_ASSERT(value_->type() == type,
+                "map field updated with mismatched CRDT type");
+  value_->apply(op);
+}
+
+void NestedCrdt::encode(Encoder& enc) const {
+  codec::write(enc, std::forward_as_tuple(value_->type(), value_->snapshot()));
+}
+
+NestedCrdt NestedCrdt::decode(Decoder& dec) {
+  const auto [type, state] = codec::read<std::pair<CrdtType, Bytes>>(dec);
+  NestedCrdt out;
+  out.value_ = make_crdt(type);
+  out.value_->restore(state);
+  return out;
 }
 
 Bytes GMap::prepare_update(const std::string& field, CrdtType nested,
                            const Bytes& nested_op) {
-  Encoder enc;
-  enc.str(field);
-  enc.u8(static_cast<std::uint8_t>(nested));
-  enc.bytes(nested_op);
-  return enc.take();
+  return codec::to_bytes(UpdateOp<Viewed>{field, nested, nested_op});
 }
 
 void GMap::apply(const Bytes& op) {
-  Decoder dec(op);
-  std::string field = dec.str();
-  const auto nested = static_cast<CrdtType>(dec.u8());
-  const Bytes nested_op = dec.bytes();
-
-  auto it = entries_.find(field);
-  if (it == entries_.end()) {
-    it = entries_.emplace(std::move(field), make_crdt(nested)).first;
-  }
-  COLONY_ASSERT(it->second->type() == nested,
-                "GMap field updated with mismatched CRDT type");
-  it->second->apply(nested_op);
-}
-
-Bytes GMap::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [name, value] : entries_) {
-    enc.str(name);
-    enc.u8(static_cast<std::uint8_t>(value->type()));
-    enc.bytes(value->snapshot());
-  }
-  return enc.take();
-}
-
-void GMap::restore(const Bytes& snapshot) {
-  entries_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name = dec.str();
-    const auto nested = static_cast<CrdtType>(dec.u8());
-    auto value = make_crdt(nested);
-    value->restore(dec.bytes());
-    entries_.emplace(std::move(name), std::move(value));
-  }
-}
-
-std::unique_ptr<Crdt> GMap::clone() const {
-  return std::make_unique<GMap>(*this);
+  auto update = codec::from_bytes<UpdateOp<>>(op);
+  entries_[std::move(update.field)].apply(update.nested, update.op);
 }
 
 const Crdt* GMap::field(const std::string& name) const {
@@ -74,101 +45,38 @@ std::vector<std::string> GMap::fields() const {
   return out;
 }
 
-AwMap::AwMap(const AwMap& other) {
-  for (const auto& [name, entry] : other.entries_) {
-    entries_.emplace(name, Entry{entry.value->clone(), entry.presence});
-  }
-}
-
 Bytes AwMap::prepare_update(const std::string& field, CrdtType nested,
                             const Bytes& nested_op, const Dot& dot) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kUpdate));
-  enc.str(field);
-  enc.u8(static_cast<std::uint8_t>(nested));
-  enc.bytes(nested_op);
-  dot.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kUpdate,
+                   UpdateOp<Viewed>{field, nested, nested_op, dot});
 }
 
 Bytes AwMap::prepare_remove(const std::string& field) const {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kRemove));
-  enc.str(field);
+  static const std::set<Dot> kNone;
   const auto it = entries_.find(field);
-  if (it == entries_.end()) {
-    enc.u32(0);
-  } else {
-    enc.u32(static_cast<std::uint32_t>(it->second.presence.size()));
-    for (const Dot& tag : it->second.presence) tag.encode(enc);
-  }
-  return enc.take();
+  return kinded_op(OpKind::kRemove,
+                   RemoveOp<Viewed>{field, it == entries_.end()
+                                               ? kNone
+                                               : it->second.presence});
 }
 
 void AwMap::apply(const Bytes& op) {
-  Decoder dec(op);
-  const auto kind = static_cast<OpKind>(dec.u8());
-  std::string field = dec.str();
-  switch (kind) {
+  switch (op_kind<OpKind>(op)) {
     case OpKind::kUpdate: {
-      const auto nested = static_cast<CrdtType>(dec.u8());
-      const Bytes nested_op = dec.bytes();
-      const Dot dot = Dot::decode(dec);
-      auto it = entries_.find(field);
-      if (it == entries_.end()) {
-        it = entries_.emplace(std::move(field), Entry{make_crdt(nested), {}})
-                 .first;
-      }
-      COLONY_ASSERT(it->second.value->type() == nested,
-                    "AwMap field updated with mismatched CRDT type");
-      it->second.value->apply(nested_op);
-      it->second.presence.insert(dot);
+      auto update = op_body<UpdateOp<>>(op);
+      Entry& entry = entries_[std::move(update.field)];
+      entry.value.apply(update.nested, update.op);
+      entry.presence.insert(update.dot);
       break;
     }
     case OpKind::kRemove: {
-      const auto it = entries_.find(field);
-      const std::uint32_t n = dec.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Dot tag = Dot::decode(dec);
-        if (it != entries_.end()) it->second.presence.erase(tag);
-      }
+      const auto remove = op_body<RemoveOp<>>(op);
+      const auto it = entries_.find(remove.field);
+      if (it == entries_.end()) break;
+      for (const Dot& tag : remove.tags) it->second.presence.erase(tag);
       break;
     }
   }
-}
-
-Bytes AwMap::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [name, entry] : entries_) {
-    enc.str(name);
-    enc.u8(static_cast<std::uint8_t>(entry.value->type()));
-    enc.bytes(entry.value->snapshot());
-    enc.u32(static_cast<std::uint32_t>(entry.presence.size()));
-    for (const Dot& tag : entry.presence) tag.encode(enc);
-  }
-  return enc.take();
-}
-
-void AwMap::restore(const Bytes& snapshot) {
-  entries_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name = dec.str();
-    const auto nested = static_cast<CrdtType>(dec.u8());
-    Entry entry{make_crdt(nested), {}};
-    entry.value->restore(dec.bytes());
-    const std::uint32_t m = dec.u32();
-    for (std::uint32_t j = 0; j < m; ++j) {
-      entry.presence.insert(Dot::decode(dec));
-    }
-    entries_.emplace(std::move(name), std::move(entry));
-  }
-}
-
-std::unique_ptr<Crdt> AwMap::clone() const {
-  return std::make_unique<AwMap>(*this);
 }
 
 bool AwMap::present(const std::string& name) const {

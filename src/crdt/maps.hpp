@@ -15,24 +15,38 @@
 
 namespace colony {
 
-/// Grow-only map: fields are created on first update and never removed.
-class GMap final : public Crdt {
+/// A map field's nested CRDT, held by value: copying clones it, and the
+/// codec lays it out as its type tag then its length-prefixed snapshot.
+class NestedCrdt {
  public:
-  GMap() = default;
-  GMap(const GMap& other);
-  GMap& operator=(const GMap&) = delete;
+  NestedCrdt() = default;
+  NestedCrdt(const NestedCrdt& other)
+      : value_(other.value_ ? other.value_->clone() : nullptr) {}
+  NestedCrdt(NestedCrdt&&) noexcept = default;
+  NestedCrdt& operator=(NestedCrdt&&) noexcept = default;
 
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kGMap; }
+  /// Null until the first apply or decode.
+  [[nodiscard]] const Crdt* get() const { return value_.get(); }
 
+  /// Apply a nested op, creating the value as `type` on first use.
+  void apply(CrdtType type, const Bytes& op);
+
+  void encode(Encoder& enc) const;
+  static NestedCrdt decode(Decoder& dec);
+
+ private:
+  std::unique_ptr<Crdt> value_;
+};
+
+/// Grow-only map: fields are created on first update and never removed.
+class GMap final : public StateCrdt<GMap, CrdtType::kGMap> {
+ public:
   /// Wrap a nested op for `field` of nested type `nested`.
   [[nodiscard]] static Bytes prepare_update(const std::string& field,
                                             CrdtType nested,
                                             const Bytes& nested_op);
 
   void apply(const Bytes& op) override;
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   /// Nested object for a field, or nullptr if absent. The returned pointer
   /// is owned by the map and invalidated by apply/restore.
@@ -48,7 +62,18 @@ class GMap final : public Crdt {
   }
 
  private:
-  std::map<std::string, std::unique_ptr<Crdt>> entries_;
+  friend StateCrdt;
+  auto state() { return std::tie(entries_); }
+
+  template <template <typename> class Hold = Owned>
+  struct UpdateOp {
+    Hold<std::string> field;
+    Hold<CrdtType> nested;
+    Hold<Bytes> op;
+    auto fields() { return std::tie(field, nested, op); }
+  };
+
+  std::map<std::string, NestedCrdt> entries_;
 };
 
 /// Add-wins map: like GMap plus observed-remove field deletion. A field is
@@ -56,14 +81,8 @@ class GMap final : public Crdt {
 /// the observed ones. Nested state is retained across remove/re-add (the
 /// "keep value" variant), which matches op-based map semantics where a
 /// concurrent update must survive a remove.
-class AwMap final : public Crdt {
+class AwMap final : public StateCrdt<AwMap, CrdtType::kAwMap> {
  public:
-  AwMap() = default;
-  AwMap(const AwMap& other);
-  AwMap& operator=(const AwMap&) = delete;
-
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kAwMap; }
-
   [[nodiscard]] static Bytes prepare_update(const std::string& field,
                                             CrdtType nested,
                                             const Bytes& nested_op,
@@ -71,9 +90,6 @@ class AwMap final : public Crdt {
   [[nodiscard]] Bytes prepare_remove(const std::string& field) const;
 
   void apply(const Bytes& op) override;
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   [[nodiscard]] bool present(const std::string& name) const;
   [[nodiscard]] const Crdt* field(const std::string& name) const;
@@ -86,11 +102,29 @@ class AwMap final : public Crdt {
   }
 
  private:
+  friend StateCrdt;
+  auto state() { return std::tie(entries_); }
+
   enum class OpKind : std::uint8_t { kUpdate = 1, kRemove = 2 };
+  template <template <typename> class Hold = Owned>
+  struct UpdateOp {
+    Hold<std::string> field;
+    Hold<CrdtType> nested;
+    Hold<Bytes> op;
+    Hold<Dot> dot;
+    auto fields() { return std::tie(field, nested, op, dot); }
+  };
+  template <template <typename> class Hold = Owned>
+  struct RemoveOp {
+    Hold<std::string> field;
+    Hold<std::set<Dot>> tags;
+    auto fields() { return std::tie(field, tags); }
+  };
 
   struct Entry {
-    std::unique_ptr<Crdt> value;
+    NestedCrdt value;
     std::set<Dot> presence;
+    auto fields() { return std::tie(value, presence); }
   };
 
   std::map<std::string, Entry> entries_;

@@ -1,111 +1,43 @@
 #include "crdt/or_set.hpp"
 
-#include "util/assert.hpp"
-
 namespace colony {
 
 Bytes GSet::prepare_add(const std::string& element) {
-  Encoder enc;
-  enc.str(element);
-  return enc.take();
+  return codec::to_bytes(element);
 }
 
 void GSet::apply(const Bytes& op) {
-  Decoder dec(op);
-  elements_.insert(dec.str());
-}
-
-Bytes GSet::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(elements_.size()));
-  for (const auto& e : elements_) enc.str(e);
-  return enc.take();
-}
-
-void GSet::restore(const Bytes& snapshot) {
-  elements_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) elements_.insert(dec.str());
-}
-
-std::unique_ptr<Crdt> GSet::clone() const {
-  auto copy = std::make_unique<GSet>();
-  copy->elements_ = elements_;
-  return copy;
+  elements_.insert(codec::from_bytes<std::string>(op));
 }
 
 Bytes OrSet::prepare_add(const std::string& element, const Dot& dot) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kAdd));
-  enc.str(element);
-  dot.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kAdd, AddOp<Viewed>{element, dot});
 }
 
 Bytes OrSet::prepare_remove(const std::string& element) const {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kRemove));
-  enc.str(element);
+  static const std::set<Dot> kNone;
   const auto it = tags_.find(element);
-  if (it == tags_.end()) {
-    enc.u32(0);
-  } else {
-    enc.u32(static_cast<std::uint32_t>(it->second.size()));
-    for (const Dot& tag : it->second) tag.encode(enc);
-  }
-  return enc.take();
+  return kinded_op(OpKind::kRemove,
+                   RemoveOp<Viewed>{element,
+                                    it == tags_.end() ? kNone : it->second});
 }
 
 void OrSet::apply(const Bytes& op) {
-  Decoder dec(op);
-  const auto kind = static_cast<OpKind>(dec.u8());
-  std::string element = dec.str();
-  switch (kind) {
+  switch (op_kind<OpKind>(op)) {
     case OpKind::kAdd: {
-      tags_[std::move(element)].insert(Dot::decode(dec));
+      auto add = op_body<AddOp<>>(op);
+      tags_[std::move(add.element)].insert(add.dot);
       break;
     }
     case OpKind::kRemove: {
-      const auto it = tags_.find(element);
-      const std::uint32_t n = dec.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Dot tag = Dot::decode(dec);
-        if (it != tags_.end()) it->second.erase(tag);
-      }
-      if (it != tags_.end() && it->second.empty()) tags_.erase(it);
+      const auto remove = op_body<RemoveOp<>>(op);
+      const auto it = tags_.find(remove.element);
+      if (it == tags_.end()) break;
+      for (const Dot& tag : remove.tags) it->second.erase(tag);
+      if (it->second.empty()) tags_.erase(it);
       break;
     }
   }
-}
-
-Bytes OrSet::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(tags_.size()));
-  for (const auto& [element, tags] : tags_) {
-    enc.str(element);
-    enc.u32(static_cast<std::uint32_t>(tags.size()));
-    for (const Dot& tag : tags) tag.encode(enc);
-  }
-  return enc.take();
-}
-
-void OrSet::restore(const Bytes& snapshot) {
-  tags_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string element = dec.str();
-    const std::uint32_t m = dec.u32();
-    auto& tags = tags_[std::move(element)];
-    for (std::uint32_t j = 0; j < m; ++j) tags.insert(Dot::decode(dec));
-  }
-}
-
-std::unique_ptr<Crdt> OrSet::clone() const {
-  auto copy = std::make_unique<OrSet>();
-  copy->tags_ = tags_;
-  return copy;
 }
 
 bool OrSet::contains(const std::string& element) const {

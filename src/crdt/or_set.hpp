@@ -11,16 +11,11 @@
 namespace colony {
 
 /// Grow-only set of strings.
-class GSet final : public Crdt {
+class GSet final : public StateCrdt<GSet, CrdtType::kGSet> {
  public:
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kGSet; }
-
   [[nodiscard]] static Bytes prepare_add(const std::string& element);
 
   void apply(const Bytes& op) override;
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   [[nodiscard]] bool contains(const std::string& element) const {
     return elements_.contains(element);
@@ -31,32 +26,45 @@ class GSet final : public Crdt {
   [[nodiscard]] std::size_t size() const { return elements_.size(); }
 
  private:
+  friend StateCrdt;
+  auto state() { return std::tie(elements_); }
+
   std::set<std::string> elements_;
 };
 
 /// Observed-remove set with add-wins semantics: each add is tagged with its
 /// dot; a remove deletes exactly the tags its origin had observed, so a
 /// concurrent add survives. Requires causal delivery.
-class OrSet final : public Crdt {
+class OrSet final : public StateCrdt<OrSet, CrdtType::kOrSet> {
  public:
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kOrSet; }
-
   [[nodiscard]] static Bytes prepare_add(const std::string& element,
                                          const Dot& dot);
   /// Remove carries the observed tags for the element at the origin.
   [[nodiscard]] Bytes prepare_remove(const std::string& element) const;
 
   void apply(const Bytes& op) override;
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   [[nodiscard]] bool contains(const std::string& element) const;
   [[nodiscard]] std::vector<std::string> elements() const;
   [[nodiscard]] std::size_t size() const { return tags_.size(); }
 
  private:
+  friend StateCrdt;
+  auto state() { return std::tie(tags_); }
+
   enum class OpKind : std::uint8_t { kAdd = 1, kRemove = 2 };
+  template <template <typename> class Hold = Owned>
+  struct AddOp {
+    Hold<std::string> element;
+    Hold<Dot> dot;
+    auto fields() { return std::tie(element, dot); }
+  };
+  template <template <typename> class Hold = Owned>
+  struct RemoveOp {
+    Hold<std::string> element;
+    Hold<std::set<Dot>> tags;
+    auto fields() { return std::tie(element, tags); }
+  };
 
   // element -> set of live add tags
   std::map<std::string, std::set<Dot>> tags_;

@@ -3,87 +3,29 @@
 namespace colony {
 
 Bytes LwwRegister::prepare_assign(const std::string& value, const Arb& arb) {
-  Encoder enc;
-  enc.str(value);
-  arb.encode(enc);
-  return enc.take();
+  return codec::to_bytes(AssignOp<Viewed>{value, arb});
 }
 
 void LwwRegister::apply(const Bytes& op) {
-  Decoder dec(op);
-  std::string value = dec.str();
-  const Arb arb = Arb::decode(dec);
-  if (arb > arb_) {
-    value_ = std::move(value);
-    arb_ = arb;
+  auto assign = codec::from_bytes<AssignOp<>>(op);
+  if (assign.arb > arb_) {
+    value_ = std::move(assign.value);
+    arb_ = assign.arb;
   }
-}
-
-Bytes LwwRegister::snapshot() const {
-  Encoder enc;
-  enc.str(value_);
-  arb_.encode(enc);
-  return enc.take();
-}
-
-void LwwRegister::restore(const Bytes& snapshot) {
-  Decoder dec(snapshot);
-  value_ = dec.str();
-  arb_ = Arb::decode(dec);
-}
-
-std::unique_ptr<Crdt> LwwRegister::clone() const {
-  auto copy = std::make_unique<LwwRegister>();
-  copy->value_ = value_;
-  copy->arb_ = arb_;
-  return copy;
 }
 
 Bytes MvRegister::prepare_assign(const std::string& value,
                                  const Dot& dot) const {
-  Encoder enc;
-  enc.str(value);
-  dot.encode(enc);
-  enc.u32(static_cast<std::uint32_t>(versions_.size()));
-  for (const auto& [observed, _] : versions_) observed.encode(enc);
-  return enc.take();
+  std::vector<Dot> observed;
+  observed.reserve(versions_.size());
+  for (const auto& [version, _] : versions_) observed.push_back(version);
+  return codec::to_bytes(AssignOp<Viewed>{value, dot, observed});
 }
 
 void MvRegister::apply(const Bytes& op) {
-  Decoder dec(op);
-  std::string value = dec.str();
-  const Dot dot = Dot::decode(dec);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    versions_.erase(Dot::decode(dec));
-  }
-  versions_.emplace(dot, std::move(value));
-}
-
-Bytes MvRegister::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(versions_.size()));
-  for (const auto& [dot, value] : versions_) {
-    dot.encode(enc);
-    enc.str(value);
-  }
-  return enc.take();
-}
-
-void MvRegister::restore(const Bytes& snapshot) {
-  versions_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Dot dot = Dot::decode(dec);
-    versions_.emplace(dot, dec.str());
-  }
-}
-
-std::unique_ptr<Crdt> MvRegister::clone() const {
-  auto copy = std::make_unique<MvRegister>();
-  copy->versions_ = versions_;
-  return copy;
+  auto assign = codec::from_bytes<AssignOp<>>(op);
+  for (const Dot& observed : assign.observed) versions_.erase(observed);
+  versions_.emplace(assign.dot, std::move(assign.value));
 }
 
 std::vector<std::string> MvRegister::values() const {

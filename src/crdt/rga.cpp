@@ -7,21 +7,38 @@
 
 namespace colony {
 
+namespace {
+
+// The snapshot's records, declared once: the walk writes Viewed references
+// to the live nodes, restore decodes Owned values.
+// (parent, child, value, arb, tombstone)
+template <template <typename> class Hold>
+using Edge =
+    std::tuple<Hold<Dot>, Hold<Dot>, Hold<std::string>, Hold<Arb>, Hold<bool>>;
+// (parent, id, value, arb) of an insert waiting for its parent
+template <template <typename> class Hold>
+using OrphanInsert =
+    std::tuple<Hold<Dot>, Hold<Dot>, Hold<std::string>, Hold<Arb>>;
+// edges, orphan inserts, orphan removes
+template <template <typename> class Hold>
+using Snapshot = std::tuple<Hold<std::vector<Edge<Hold>>>,
+                            Hold<std::vector<OrphanInsert<Hold>>>,
+                            Hold<std::set<Dot>>>;
+
+}  // namespace
+
 Bytes Rga::prepare_insert(const Dot& after, const std::string& value,
                           const Arb& arb) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kInsert));
-  after.encode(enc);
-  enc.str(value);
-  arb.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kInsert, InsertOp<Viewed>{after, value, arb});
 }
 
 Bytes Rga::prepare_remove(const Dot& id) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kRemove));
-  id.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kRemove, id);
+}
+
+std::optional<Rga::InsertOp<>> Rga::as_insert(const Bytes& op) {
+  if (op_kind<OpKind>(op) != OpKind::kInsert) return std::nullopt;
+  return op_body<InsertOp<>>(op);
 }
 
 void Rga::insert_node(const Dot& parent, const Dot& id, Node node) {
@@ -81,19 +98,15 @@ void Rga::remove_node(const Dot& id) {
 }
 
 void Rga::apply(const Bytes& op) {
-  Decoder dec(op);
-  const auto kind = static_cast<OpKind>(dec.u8());
-  switch (kind) {
+  switch (op_kind<OpKind>(op)) {
     case OpKind::kInsert: {
-      const Dot after = Dot::decode(dec);
-      Node node;
-      node.value = dec.str();
-      node.arb = Arb::decode(dec);
-      insert_node(after, node.arb.dot, std::move(node));
+      auto insert = op_body<InsertOp<>>(op);
+      insert_node(insert.after, insert.arb.dot,
+                  Node{std::move(insert.value), insert.arb});
       break;
     }
     case OpKind::kRemove: {
-      const Dot id = Dot::decode(dec);
+      const auto id = op_body<Dot>(op);
       if (!nodes_.contains(id)) {
         orphan_removes_.insert(id);  // buffered until the insert arrives
         break;
@@ -148,89 +161,52 @@ Dot Rga::last_id() const {
 }
 
 Bytes Rga::snapshot() const {
-  // Serialise as a parent-linked edge list in DFS order (parents precede
-  // children) so restore can rebuild with insert_node.
-  Encoder enc;
-  std::vector<std::pair<Dot, Dot>> edges;  // (parent, child)
-  std::vector<Dot> stack{Dot{}};
-  std::vector<Dot> order;
+  static const Dot kRoot{};
+  std::vector<Edge<Viewed>> edges;
+  edges.reserve(nodes_.size());
+  std::vector<const Dot*> stack{&kRoot};
   while (!stack.empty()) {
-    const Dot id = stack.back();
+    const auto it = nodes_.find(*stack.back());
     stack.pop_back();
-    order.push_back(id);
-    const auto it = nodes_.find(id);
     if (it == nodes_.end()) continue;
     for (const Dot& child : it->second.children) {
-      edges.emplace_back(id, child);
-      stack.push_back(child);
+      const Node& node = nodes_.at(child);
+      edges.emplace_back(it->first, child, node.value, node.arb,
+                         node.tombstone);
+      stack.push_back(&child);
     }
   }
-  enc.u32(static_cast<std::uint32_t>(edges.size()));
-  for (const auto& [parent, child] : edges) {
-    parent.encode(enc);
-    child.encode(enc);
-    const Node& node = nodes_.at(child);
-    enc.str(node.value);
-    node.arb.encode(enc);
-    enc.boolean(node.tombstone);
-  }
   // Orphan buffers are state too (they may attach after a restore).
-  enc.u32(static_cast<std::uint32_t>(orphan_inserts_.size()));
+  std::vector<OrphanInsert<Viewed>> orphans;
+  orphans.reserve(orphan_inserts_.size());
   for (const auto& [parent, entry] : orphan_inserts_) {
-    parent.encode(enc);
-    entry.first.encode(enc);
-    enc.str(entry.second.value);
-    entry.second.arb.encode(enc);
+    orphans.emplace_back(parent, entry.first, entry.second.value,
+                         entry.second.arb);
   }
-  enc.u32(static_cast<std::uint32_t>(orphan_removes_.size()));
-  for (const Dot& id : orphan_removes_) id.encode(enc);
-  return enc.take();
+  return codec::to_bytes(Snapshot<Viewed>{edges, orphans, orphan_removes_});
 }
 
 void Rga::restore(const Bytes& snapshot) {
+  auto [edges, orphans, removes] =
+      codec::from_bytes<Snapshot<Owned>>(snapshot);
   nodes_.clear();
   orphan_inserts_.clear();
   orphan_removes_.clear();
   live_count_ = 0;
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Dot parent = Dot::decode(dec);
-    const Dot child = Dot::decode(dec);
-    Node node;
-    node.value = dec.str();
-    node.arb = Arb::decode(dec);
-    const bool tombstone = dec.boolean();
-    insert_node(parent, child, std::move(node));
+  for (auto& [parent, child, value, arb, tombstone] : edges) {
+    insert_node(parent, child, Node{std::move(value), arb});
     if (tombstone) remove_node(child);
   }
-  const std::uint32_t orphans = dec.u32();
-  for (std::uint32_t i = 0; i < orphans; ++i) {
-    const Dot parent = Dot::decode(dec);
-    const Dot id = Dot::decode(dec);
-    Node node;
-    node.value = dec.str();
-    node.arb = Arb::decode(dec);
-    insert_node(parent, id, std::move(node));
+  for (auto& [parent, id, value, arb] : orphans) {
+    insert_node(parent, id, Node{std::move(value), arb});
   }
-  const std::uint32_t removes = dec.u32();
-  for (std::uint32_t i = 0; i < removes; ++i) {
-    const Dot id = Dot::decode(dec);
+  for (const Dot& id : removes) {
     if (nodes_.contains(id)) {
       remove_node(id);
     } else {
       orphan_removes_.insert(id);
     }
   }
-}
-
-std::unique_ptr<Crdt> Rga::clone() const {
-  auto copy = std::make_unique<Rga>();
-  copy->nodes_ = nodes_;
-  copy->live_count_ = live_count_;
-  copy->orphan_inserts_ = orphan_inserts_;
-  copy->orphan_removes_ = orphan_removes_;
-  return copy;
 }
 
 }  // namespace colony

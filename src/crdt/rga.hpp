@@ -16,6 +16,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -26,21 +27,31 @@
 
 namespace colony {
 
-class Rga final : public Crdt {
+class Rga final : public CrdtOf<Rga, CrdtType::kRga> {
  public:
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kRga; }
-
-  /// Insert `value` after element `after` (Dot{} = beginning). The new
+  /// Insert `value` after element `after` (Dot{} = beginning); the new
   /// element's identity is arb.dot.
+  template <template <typename> class Hold = Owned>
+  struct InsertOp {
+    Hold<Dot> after;
+    Hold<std::string> value;
+    Hold<Arb> arb;
+    auto fields() { return std::tie(after, value, arb); }
+  };
+
   [[nodiscard]] static Bytes prepare_insert(const Dot& after,
                                             const std::string& value,
                                             const Arb& arb);
   [[nodiscard]] static Bytes prepare_remove(const Dot& id);
+  /// The insert an op payload carries; nullopt for a remove.
+  [[nodiscard]] static std::optional<InsertOp<>> as_insert(const Bytes& op);
 
   void apply(const Bytes& op) override;
+  /// A parent-linked edge list in which every parent precedes its
+  /// children, then the orphan buffers, so restore can rebuild with
+  /// insert_node.
   [[nodiscard]] Bytes snapshot() const override;
   void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   /// Visible (non-tombstoned) values in sequence order.
   [[nodiscard]] std::vector<std::string> values() const;
@@ -65,7 +76,7 @@ class Rga final : public Crdt {
     std::string value;
     Arb arb;
     bool tombstone = false;
-    std::vector<Dot> children;  // sorted by descending child arb
+    std::vector<Dot> children{};  // sorted by descending child arb
   };
 
   void insert_node(const Dot& parent, const Dot& id, Node node);

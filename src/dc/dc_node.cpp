@@ -10,9 +10,18 @@ namespace colony {
 namespace {
 /// Bake K-stable journal prefixes into base versions every N gossips.
 constexpr std::size_t kBaseAdvanceEvery = 50;
+/// CPU cost of serving one client-facing RPC / one session push. Requests
+/// queue behind a single logical CPU, which is what saturates throughput
+/// in Figure 4.
+constexpr SimTime kRpcServiceTime = 150 * kMicrosecond;
+constexpr SimTime kPushServiceTime = 15 * kMicrosecond;
 /// CPU cost of a cloud-mode transaction execution (kDcExecute): more than a
 /// plain session RPC, since it fans out shard reads and runs 2PC.
 constexpr SimTime kExecuteServiceTime = 225 * kMicrosecond;
+/// Seed of the session-key service. All DCs of a deployment share it so a
+/// client can open a session at any DC (the authentication service is
+/// logically one, section 6.2).
+constexpr std::uint64_t kKeySeed = 0xC010;
 }  // namespace
 
 DcNode::DcNode(sim::Network& net, NodeId id, DcConfig config,
@@ -22,7 +31,7 @@ DcNode::DcNode(sim::Network& net, NodeId id, DcConfig config,
       peers_(std::move(peers)),
       shard_nodes_(std::move(shards)),
       engine_(txns_, store_, config.num_dcs),
-      keys_(config.key_seed),
+      keys_(kKeySeed),
       dc_states_(config.num_dcs, VersionVector(config.num_dcs)),
       k_cut_(config.num_dcs) {
   security::register_acl_crdt();
@@ -235,8 +244,7 @@ void DcNode::push_session(NodeId node, EdgeSession& session, bool announce) {
         last = proto::PushTxn{*txn, ++session.seq, std::nullopt};
         session.outstanding.emplace_back(session.seq, session.cursor + 1);
         // Pushes consume DC CPU; they delay later request processing.
-        busy_until_ = std::max(busy_until_, net_.now()) +
-                      config_.push_service_time;
+        busy_until_ = std::max(busy_until_, net_.now()) + kPushServiceTime;
       }
     }
     ++session.cursor;
@@ -335,7 +343,7 @@ void DcNode::handle_edge_commit(NodeId /*from*/,
   if (const Transaction* known = txns_.find(dot);
       known != nullptr && known->meta.concrete) {
     const DcId dc = known->meta.first_accepted();
-    reply(codec::to_bytes(proto::EdgeCommitResp{
+    reply(codec::to_bytes(proto::ResolutionMsg{
         dot, dc, known->meta.commit.at(dc), known->meta.snapshot}));
     return;
   }
@@ -362,7 +370,7 @@ void DcNode::handle_edge_commit(NodeId /*from*/,
   txn.meta.snapshot = eff;
   txn.meta.pending_deps.clear();
   const Timestamp ts = commit_here(std::move(txn));
-  reply(codec::to_bytes(proto::EdgeCommitResp{dot, config_.dc_id, ts, eff}));
+  reply(codec::to_bytes(proto::ResolutionMsg{dot, config_.dc_id, ts, eff}));
 }
 
 void DcNode::handle_dc_execute(NodeId from, const proto::DcExecuteReq& req,
@@ -607,9 +615,8 @@ void DcNode::on_request(NodeId from, std::uint32_t method,
   if (crashed()) return;  // dead process: the caller's RPC times out
   // Client-facing requests queue behind the DC's logical CPU; the queueing
   // delay under load is what bends the Figure 4 latency curve upward.
-  const SimTime service = method == proto::kDcExecute
-                              ? kExecuteServiceTime
-                              : config_.rpc_service_time;
+  const SimTime service = method == proto::kDcExecute ? kExecuteServiceTime
+                                                      : kRpcServiceTime;
   const SimTime start = std::max(net_.now(), busy_until_);
   busy_until_ = start + service;
   // The deferred dispatch outlives the delivered frame, so it owns a copy
@@ -741,11 +748,7 @@ void DcNode::encode_checkpoint(Encoder& enc) const {
   enc.u64(gossip_count_);
   codec::write(enc, my_commits_);
   codec::write(enc, dc_states_);
-  enc.u32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [node, session] : sessions_) {
-    codec::write(enc, node);
-    codec::write(enc, static_cast<const SessionRecord&>(session));
-  }
+  codec::write(enc, sessions_);  // each session's SessionRecord fields
   txns_.encode(enc);
   store_.encode(enc);
   engine_.encode_state(enc);
@@ -761,12 +764,7 @@ void DcNode::decode_checkpoint(ByteView snapshot) {
   dc_states_ = codec::read<std::vector<VersionVector>>(dec);
   COLONY_ASSERT(dc_states_.size() == config_.num_dcs,
                 "checkpoint from a different topology");
-  sessions_.clear();
-  const std::uint32_t session_count = dec.u32();
-  for (std::uint32_t i = 0; i < session_count && dec.ok(); ++i) {
-    const auto node = codec::read<NodeId>(dec);
-    codec::read_into(dec, static_cast<SessionRecord&>(sessions_[node]));
-  }
+  codec::read_into(dec, sessions_);
   txns_.decode(dec);
   store_.decode(dec);
   engine_.decode_state(dec);

@@ -37,15 +37,6 @@ struct DcConfig {
   /// only once >= K DCs know it (section 3.8). 1 <= K <= num_dcs.
   std::size_t k_stability = 1;
   SimTime gossip_interval = 100 * kMillisecond;
-  /// Seed of the session-key service. All DCs of a deployment share it so
-  /// a client can open a session at any DC (the authentication service is
-  /// logically one, section 6.2).
-  std::uint64_t key_seed = 0xC010;
-  /// CPU cost of serving one client-facing RPC / one session push. Requests
-  /// queue behind a single logical CPU, which is what saturates throughput
-  /// in Figure 4. Scale rpc_service_time down for bigger DCs.
-  SimTime rpc_service_time = 150 * kMicrosecond;
-  SimTime push_service_time = 15 * kMicrosecond;
   /// Durable write-ahead log, owned by the topology builder (the node only
   /// writes through the pointer). nullptr = no durability: such a node must
   /// never be crash-restarted (Cluster::crash_node degrades the fault to a

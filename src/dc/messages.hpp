@@ -26,7 +26,7 @@ namespace colony::proto {
 
 enum Kind : std::uint32_t {
   // Edge <-> DC session protocol.
-  kEdgeCommit = 10,   // RPC  EdgeCommitReq -> EdgeCommitResp
+  kEdgeCommit = 10,   // RPC  EdgeCommitReq -> ResolutionMsg
   kSubscribe = 11,    // RPC  SubscribeReq  -> SubscribeResp
   kFetchObject = 12,  // RPC  FetchReq      -> FetchResp
   kPushTxn = 13,      // 1way PushTxn (DC/parent -> edge)
@@ -94,15 +94,6 @@ struct EdgeCommitReq {
 
   bool operator==(const EdgeCommitReq&) const = default;
   auto fields() { return std::tie(txn); }
-};
-struct EdgeCommitResp {
-  Dot dot;
-  DcId dc = 0;
-  Timestamp ts = 0;                 // assigned commit timestamp T.C[dc]
-  VersionVector resolved_snapshot;  // DC-resolved concrete snapshot
-
-  bool operator==(const EdgeCommitResp&) const = default;
-  auto fields() { return std::tie(dot, dc, ts, resolved_snapshot); }
 };
 
 struct SubscribeReq {
@@ -185,6 +176,8 @@ struct PushAck {
 /// eventually triggers its stall-detection rewind.
 struct PushChannelRecv {
   std::uint64_t last_seq = 0;  // contiguous receive prefix
+
+  auto fields() { return std::tie(last_seq); }
 
   struct Push {
     bool deliver = false;   // payload may be handed to the engine
@@ -394,11 +387,13 @@ struct PeerFetchResp {
   bool operator==(const PeerFetchResp&) const = default;
   auto fields() { return std::tie(found, snapshot); }
 };
+/// A DC's answer to an edge commit, and its relay from a group parent to
+/// the members.
 struct ResolutionMsg {
   Dot dot;
   DcId dc = 0;
-  Timestamp ts = 0;
-  VersionVector resolved_snapshot;
+  Timestamp ts = 0;                 // assigned commit timestamp T.C[dc]
+  VersionVector resolved_snapshot;  // DC-resolved concrete snapshot
 
   bool operator==(const ResolutionMsg&) const = default;
   auto fields() { return std::tie(dot, dc, ts, resolved_snapshot); }

@@ -368,12 +368,10 @@ void EdgeNode::pump_commits() {
   const Transaction* txn = txns_.find(dot);
   COLONY_ASSERT(txn != nullptr, "unacked dot without record");
   call(config_.dc, proto::kEdgeCommit, proto::EdgeCommitReq{*txn},
-       [this, dot](Result<Bytes> r) {
+       [this](Result<Bytes> r) {
          pump_in_flight_ = false;
          if (r.ok()) {
-           auto resp = codec::from_bytes<proto::EdgeCommitResp>(r.value());
-           on_resolution(proto::ResolutionMsg{
-               dot, resp.dc, resp.ts, std::move(resp.resolved_snapshot)});
+           on_resolution(codec::from_bytes<proto::ResolutionMsg>(r.value()));
            pump_commits();
            return;
          }
@@ -840,12 +838,7 @@ void EdgeNode::decode_checkpoint(ByteView snapshot) {
   for (const auto& key : codec::read<std::vector<ObjectKey>>(dec)) {
     interest_.add(key);
   }
-  push_recv_.clear();
-  const std::uint32_t recv_count = dec.u32();
-  for (std::uint32_t i = 0; i < recv_count && dec.ok(); ++i) {
-    const NodeId node = dec.u64();
-    push_recv_[node].last_seq = dec.u64();
-  }
+  codec::read_into(dec, push_recv_);
   const auto unacked = codec::read<std::vector<Dot>>(dec);
   unacked_.assign(unacked.begin(), unacked.end());
   last_local_unresolved_ = codec::read<std::optional<Dot>>(dec);
@@ -867,11 +860,7 @@ void EdgeNode::encode_durable(Encoder& enc) const {
     std::sort(keys.begin(), keys.end());
     codec::write(enc, keys);
   }
-  enc.u32(static_cast<std::uint32_t>(push_recv_.size()));
-  for (const auto& [node, recv] : push_recv_) {
-    enc.u64(node);
-    enc.u64(recv.last_seq);
-  }
+  codec::write(enc, push_recv_);
   codec::write(enc, std::vector<Dot>(unacked_.begin(), unacked_.end()));
   codec::write(enc, last_local_unresolved_);
   codec::write(enc, SessionKeys(session_keys_.begin(), session_keys_.end()));

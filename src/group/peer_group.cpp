@@ -16,13 +16,15 @@ constexpr SimTime kRetryInterval = 500 * kMillisecond;
 /// 5.1.1).
 constexpr SimTime kHeartbeatInterval = 1 * kSecond;
 constexpr std::size_t kHeartbeatMisses = 2;
+/// Seed of the parent's session-key service.
+constexpr std::uint64_t kSessionKeySeed = 0x5eed;
 }  // namespace
 
 PeerGroupParent::PeerGroupParent(sim::Network& net, NodeId id,
                                  GroupParentConfig config)
     : RpcActor(net, id),
       config_(config),
-      keys_(config.session_key_seed),
+      keys_(kSessionKeySeed),
       engine_(txns_, store_, config.num_dcs) {
   security::register_acl_crdt();
   security::install_policy(engine_, store_);
@@ -201,16 +203,14 @@ void PeerGroupParent::pump_forward() {
            in_flight_.erase(dot);
            if (r.ok()) {
              const auto resp =
-                 codec::from_bytes<proto::EdgeCommitResp>(r.value());
+                 codec::from_bytes<proto::ResolutionMsg>(r.value());
              engine_.resolve_full(dot, resp.dc, resp.ts,
                                   resp.resolved_snapshot);
              forwarded_.insert(dot);
              forward_order_.erase(dot);
              si_order_.drain(engine_);
-             const proto::ResolutionMsg relay{dot, resp.dc, resp.ts,
-                                              resp.resolved_snapshot};
              for (const NodeId m : members_) {
-               tell(m, proto::kResolutionRelay, relay);
+               tell(m, proto::kResolutionRelay, resp);
              }
              pump_forward();
              return;

@@ -33,7 +33,6 @@ namespace colony {
 struct GroupParentConfig {
   NodeId dc = 0;  // connected DC
   std::size_t num_dcs = 1;
-  std::uint64_t session_key_seed = 0x5eed;
 };
 
 class PeerGroupParent final : public sim::RpcActor {

@@ -18,163 +18,71 @@ const char* to_string(Permission p) {
 ObjectKey acl_object_key() { return ObjectKey{"_sys", "acl"}; }
 
 namespace {
+
 std::unique_ptr<Crdt> make_acl() { return std::make_unique<AclObject>(); }
 
-void encode_tuple(Encoder& enc, const AclTuple& t) {
-  enc.str(t.object);
-  enc.u64(t.user);
-  enc.u8(static_cast<std::uint8_t>(t.permission));
+/// LWW assignment of a forest edge.
+template <typename Forest, typename Op>
+void set_parent(Forest& forest, Op& op) {
+  auto& slot = forest[std::move(op.child)];
+  if (op.arb > slot.second) slot = {std::move(op.parent), op.arb};
 }
 
-AclTuple decode_tuple(Decoder& dec) {
-  AclTuple t;
-  t.object = dec.str();
-  t.user = dec.u64();
-  t.permission = static_cast<Permission>(dec.u8());
-  return t;
-}
 }  // namespace
 
 void register_acl_crdt() { register_crdt_factory(CrdtType::kAcl, &make_acl); }
 
 Bytes AclObject::prepare_grant(const AclTuple& tuple, const Dot& dot) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kGrant));
-  encode_tuple(enc, tuple);
-  dot.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kGrant, GrantOp<Viewed>{tuple, dot});
 }
 
 Bytes AclObject::prepare_revoke(const AclTuple& tuple) const {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kRevoke));
-  encode_tuple(enc, tuple);
+  static const std::set<Dot> kNone;
   const auto it = grants_.find(tuple);
-  if (it == grants_.end()) {
-    enc.u32(0);
-  } else {
-    enc.u32(static_cast<std::uint32_t>(it->second.size()));
-    for (const Dot& tag : it->second) tag.encode(enc);
-  }
-  return enc.take();
+  return kinded_op(OpKind::kRevoke,
+                   RevokeOp<Viewed>{tuple, it == grants_.end() ? kNone
+                                                               : it->second});
 }
 
 Bytes AclObject::prepare_set_user_parent(UserId user, UserId parent,
                                          const Arb& arb) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kSetUserParent));
-  enc.u64(user);
-  enc.u64(parent);
-  arb.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kSetUserParent,
+                   SetParentOp<UserId, Viewed>{user, parent, arb});
 }
 
 Bytes AclObject::prepare_set_object_parent(const std::string& object,
                                            const std::string& parent,
                                            const Arb& arb) {
-  Encoder enc;
-  enc.u8(static_cast<std::uint8_t>(OpKind::kSetObjectParent));
-  enc.str(object);
-  enc.str(parent);
-  arb.encode(enc);
-  return enc.take();
+  return kinded_op(OpKind::kSetObjectParent,
+                   SetParentOp<std::string, Viewed>{object, parent, arb});
 }
 
 void AclObject::apply(const Bytes& op) {
-  Decoder dec(op);
-  const auto kind = static_cast<OpKind>(dec.u8());
-  switch (kind) {
+  switch (op_kind<OpKind>(op)) {
     case OpKind::kGrant: {
-      const AclTuple tuple = decode_tuple(dec);
-      grants_[tuple].insert(Dot::decode(dec));
+      auto grant = op_body<GrantOp<>>(op);
+      grants_[std::move(grant.tuple)].insert(grant.dot);
       break;
     }
     case OpKind::kRevoke: {
-      const AclTuple tuple = decode_tuple(dec);
-      const auto it = grants_.find(tuple);
-      const std::uint32_t n = dec.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Dot tag = Dot::decode(dec);
-        if (it != grants_.end()) it->second.erase(tag);
-      }
-      if (it != grants_.end() && it->second.empty()) grants_.erase(it);
+      const auto revoke = op_body<RevokeOp<>>(op);
+      const auto it = grants_.find(revoke.tuple);
+      if (it == grants_.end()) break;
+      for (const Dot& tag : revoke.tags) it->second.erase(tag);
+      if (it->second.empty()) grants_.erase(it);
       break;
     }
     case OpKind::kSetUserParent: {
-      const UserId user = dec.u64();
-      const UserId parent = dec.u64();
-      const Arb arb = Arb::decode(dec);
-      auto& slot = user_parent_[user];
-      if (arb > slot.second) slot = {parent, arb};
+      auto edge = op_body<SetParentOp<UserId>>(op);
+      set_parent(user_parent_, edge);
       break;
     }
     case OpKind::kSetObjectParent: {
-      std::string object = dec.str();
-      std::string parent = dec.str();
-      const Arb arb = Arb::decode(dec);
-      auto& slot = object_parent_[object];
-      if (arb > slot.second) slot = {std::move(parent), arb};
+      auto edge = op_body<SetParentOp<std::string>>(op);
+      set_parent(object_parent_, edge);
       break;
     }
   }
-}
-
-Bytes AclObject::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(grants_.size()));
-  for (const auto& [tuple, tags] : grants_) {
-    encode_tuple(enc, tuple);
-    enc.u32(static_cast<std::uint32_t>(tags.size()));
-    for (const Dot& tag : tags) tag.encode(enc);
-  }
-  enc.u32(static_cast<std::uint32_t>(user_parent_.size()));
-  for (const auto& [user, slot] : user_parent_) {
-    enc.u64(user);
-    enc.u64(slot.first);
-    slot.second.encode(enc);
-  }
-  enc.u32(static_cast<std::uint32_t>(object_parent_.size()));
-  for (const auto& [object, slot] : object_parent_) {
-    enc.str(object);
-    enc.str(slot.first);
-    slot.second.encode(enc);
-  }
-  return enc.take();
-}
-
-void AclObject::restore(const Bytes& snapshot) {
-  grants_.clear();
-  user_parent_.clear();
-  object_parent_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t g = dec.u32();
-  for (std::uint32_t i = 0; i < g; ++i) {
-    const AclTuple tuple = decode_tuple(dec);
-    auto& tags = grants_[tuple];
-    const std::uint32_t n = dec.u32();
-    for (std::uint32_t j = 0; j < n; ++j) tags.insert(Dot::decode(dec));
-  }
-  const std::uint32_t u = dec.u32();
-  for (std::uint32_t i = 0; i < u; ++i) {
-    const UserId user = dec.u64();
-    const UserId parent = dec.u64();
-    user_parent_[user] = {parent, Arb::decode(dec)};
-  }
-  const std::uint32_t o = dec.u32();
-  for (std::uint32_t i = 0; i < o; ++i) {
-    std::string object = dec.str();
-    std::string parent = dec.str();
-    const Arb arb = Arb::decode(dec);
-    object_parent_[std::move(object)] = {std::move(parent), arb};
-  }
-}
-
-std::unique_ptr<Crdt> AclObject::clone() const {
-  auto copy = std::make_unique<AclObject>();
-  copy->grants_ = grants_;
-  copy->user_parent_ = user_parent_;
-  copy->object_parent_ = object_parent_;
-  return copy;
 }
 
 bool AclObject::check(const std::string& object, UserId user,

@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "core/txn.hpp"
 #include "crdt/crdt.hpp"
@@ -46,6 +47,7 @@ struct AclTuple {
   Permission permission{};
 
   auto operator<=>(const AclTuple&) const = default;
+  auto fields() { return std::tie(object, user, permission); }
 };
 
 /// The reserved key under which the policy object lives.
@@ -55,10 +57,8 @@ struct AclTuple {
 /// (idempotent).
 void register_acl_crdt();
 
-class AclObject final : public Crdt {
+class AclObject final : public StateCrdt<AclObject, CrdtType::kAcl> {
  public:
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kAcl; }
-
   // --- prepare (downstream op construction) -------------------------------
   [[nodiscard]] static Bytes prepare_grant(const AclTuple& tuple,
                                            const Dot& dot);
@@ -70,11 +70,7 @@ class AclObject final : public Crdt {
   [[nodiscard]] static Bytes prepare_set_object_parent(
       const std::string& object, const std::string& parent, const Arb& arb);
 
-  // --- Crdt interface ------------------------------------------------------
   void apply(const Bytes& op) override;
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   // --- policy queries ------------------------------------------------------
   /// The predicate check of section 6.4: walks both RI forests.
@@ -87,11 +83,34 @@ class AclObject final : public Crdt {
   [[nodiscard]] std::size_t grant_count() const { return grants_.size(); }
 
  private:
+  friend StateCrdt;
+  auto state() { return std::tie(grants_, user_parent_, object_parent_); }
+
   enum class OpKind : std::uint8_t {
     kGrant = 1,
     kRevoke = 2,
     kSetUserParent = 3,
     kSetObjectParent = 4,
+  };
+  template <template <typename> class Hold = Owned>
+  struct GrantOp {
+    Hold<AclTuple> tuple;
+    Hold<Dot> dot;
+    auto fields() { return std::tie(tuple, dot); }
+  };
+  template <template <typename> class Hold = Owned>
+  struct RevokeOp {
+    Hold<AclTuple> tuple;
+    Hold<std::set<Dot>> tags;
+    auto fields() { return std::tie(tuple, tags); }
+  };
+  /// Edge of a right-inheritance forest: `child`'s parent is `parent`.
+  template <typename Node, template <typename> class Hold = Owned>
+  struct SetParentOp {
+    Hold<Node> child;
+    Hold<Node> parent;
+    Hold<Arb> arb;
+    auto fields() { return std::tie(child, parent, arb); }
   };
 
   std::map<AclTuple, std::set<Dot>> grants_;

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "util/binary_codec.hpp"
 #include "util/types.hpp"
@@ -30,6 +31,8 @@ struct SealedPayload {
   std::uint64_t nonce = 0;
   Bytes ciphertext;
   std::uint64_t mac = 0;
+
+  auto fields() { return std::tie(bucket, nonce, ciphertext, mac); }
 };
 
 /// Seal plaintext under `key`. `nonce` must be unique per (key, payload).

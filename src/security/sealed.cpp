@@ -1,31 +1,17 @@
 #include "security/sealed.hpp"
 
 #include <algorithm>
-
-#include "util/assert.hpp"
+#include <utility>
 
 namespace colony::security {
 namespace {
 
-void encode_sealed(Encoder& enc, const SealedPayload& p) {
-  enc.str(p.bucket);
-  enc.u64(p.nonce);
-  enc.bytes(p.ciphertext);
-  enc.u64(p.mac);
-}
-
-SealedPayload decode_sealed(Decoder& dec) {
-  SealedPayload p;
-  p.bucket = dec.str();
-  p.nonce = dec.u64();
-  p.ciphertext = dec.bytes();
-  p.mac = dec.u64();
-  return p;
-}
-
 std::unique_ptr<Crdt> make_sealed() {
   return std::make_unique<SealedObject>();
 }
+
+/// The plaintext inside a sealed op: the inner type tag and op payload.
+using Envelope = std::pair<CrdtType, Bytes>;
 
 }  // namespace
 
@@ -34,14 +20,11 @@ void register_sealed_crdt() {
 }
 
 Bytes SealedObject::prepare_append(const SealedPayload& sealed) {
-  Encoder enc;
-  encode_sealed(enc, sealed);
-  return enc.take();
+  return codec::to_bytes(sealed);
 }
 
 void SealedObject::apply(const Bytes& op) {
-  Decoder dec(op);
-  SealedPayload entry = decode_sealed(dec);
+  auto entry = codec::from_bytes<SealedPayload>(op);
   // Keep nonce order so all replicas hold identical state; drop duplicate
   // nonces (re-delivery).
   const auto pos = std::lower_bound(
@@ -51,38 +34,12 @@ void SealedObject::apply(const Bytes& op) {
   entries_.insert(pos, std::move(entry));
 }
 
-Bytes SealedObject::snapshot() const {
-  Encoder enc;
-  enc.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const SealedPayload& e : entries_) encode_sealed(enc, e);
-  return enc.take();
-}
-
-void SealedObject::restore(const Bytes& snapshot) {
-  entries_.clear();
-  Decoder dec(snapshot);
-  const std::uint32_t n = dec.u32();
-  entries_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    entries_.push_back(decode_sealed(dec));
-  }
-}
-
-std::unique_ptr<Crdt> SealedObject::clone() const {
-  auto copy = std::make_unique<SealedObject>();
-  copy->entries_ = entries_;
-  return copy;
-}
-
 OpRecord seal_op(const ObjectKey& key, SessionKey session_key,
                  std::uint64_t nonce, CrdtType inner_type,
                  const Bytes& inner) {
-  // Plaintext envelope: inner type tag + inner op payload.
-  Encoder plain;
-  plain.u8(static_cast<std::uint8_t>(inner_type));
-  plain.bytes(inner);
   const SealedPayload sealed =
-      seal(key.bucket, session_key, nonce, plain.data());
+      seal(key.bucket, session_key, nonce,
+           codec::to_bytes(Envelope{inner_type, inner}));
   return OpRecord{key, CrdtType::kSealed,
                   SealedObject::prepare_append(sealed)};
 }
@@ -94,10 +51,11 @@ std::optional<std::unique_ptr<Crdt>> unseal(const SealedObject& sealed,
   for (const SealedPayload& entry : sealed.entries()) {
     const auto plain = open(entry, session_key);
     if (!plain.has_value()) return std::nullopt;  // wrong key / tampered
-    Decoder dec(*plain);
-    const auto inner_type = static_cast<CrdtType>(dec.u8());
-    if (inner_type != expected_type) return std::nullopt;
-    value->apply(dec.bytes());
+    const auto envelope = codec::try_from_bytes<Envelope>(*plain);
+    if (!envelope.has_value() || envelope->first != expected_type) {
+      return std::nullopt;
+    }
+    value->apply(envelope->second);
   }
   return value;
 }

@@ -24,16 +24,11 @@ namespace colony::security {
 /// The opaque container the cloud sees. Ciphertext entries are kept in a
 /// deterministic order (by the sealing nonce, which callers derive from a
 /// fresh dot) so replicas converge on identical state.
-class SealedObject final : public Crdt {
+class SealedObject final : public StateCrdt<SealedObject, CrdtType::kSealed> {
  public:
-  [[nodiscard]] CrdtType type() const override { return CrdtType::kSealed; }
-
   [[nodiscard]] static Bytes prepare_append(const SealedPayload& sealed);
 
   void apply(const Bytes& op) override;
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(const Bytes& snapshot) override;
-  [[nodiscard]] std::unique_ptr<Crdt> clone() const override;
 
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   [[nodiscard]] const std::vector<SealedPayload>& entries() const {
@@ -41,6 +36,9 @@ class SealedObject final : public Crdt {
   }
 
  private:
+  friend StateCrdt;
+  auto state() { return std::tie(entries_); }
+
   std::vector<SealedPayload> entries_;  // sorted by nonce
 };
 

@@ -69,9 +69,11 @@ class Encoder {
  private:
   template <typename T>
   void fixed(T v) {
-    std::uint8_t raw[sizeof(T)];
-    std::memcpy(raw, &v, sizeof(T));
-    buf_.insert(buf_.end(), raw, raw + sizeof(T));
+    // Grow by a fill insert, then copy into place. A range insert from a
+    // local array here drew a false -Wstringop-overflow from GCC 12 when
+    // inlined after a one-byte push; this form inlines just as well.
+    buf_.insert(buf_.end(), sizeof(T), std::uint8_t{0});
+    std::memcpy(buf_.data() + buf_.size() - sizeof(T), &v, sizeof(T));
   }
 
   Bytes buf_;

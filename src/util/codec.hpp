@@ -11,10 +11,15 @@
 //
 // `codec::write`/`codec::read` then recurse over the tuple, dispatching on
 // type: primitives and enums are fixed-width little-endian, strings and
-// byte buffers are u32-length-prefixed, containers/pairs/optionals/variants
-// recurse, and the clock types with their own `encode`/`decode` members
-// (Dot, VersionVector, Arb) use those. Transactions and WAL records
-// are fields() structs too: this file is the only code that lays them out.
+// byte buffers are u32-length-prefixed, vectors, sets and maps are a u32
+// count then their elements (a map entry is its key then its value),
+// pairs, tuples, optionals and variants recurse, and types with their own
+// `encode`/`decode` members (the clock types Dot and VersionVector, and
+// the adaptor that nests one CRDT's snapshot in a map's) use those.
+// A tuple may hold references, so a writer can lay out members it does not
+// own without copying them. Transactions, WAL records, CRDT ops and CRDT
+// snapshots are written this way too: this file is the only code that lays
+// them out.
 //
 // Decoding is bounds-checked end to end: the Decoder latches its failure
 // flag on truncated input, and container reads reject length prefixes that
@@ -22,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -37,8 +43,9 @@
 namespace colony::codec {
 
 /// Types carrying their own codec members (`void encode(Encoder&) const`
-/// plus `static T decode(Decoder&)`): the clock and arbitration types,
-/// whose compact encodings are tuned by hand.
+/// plus `static T decode(Decoder&)`): the clock types, whose compact
+/// encodings are tuned by hand, and adaptors over types with no members
+/// to tie (a nested CRDT behind a pointer).
 template <typename T>
 concept SelfCodec = requires(const T& t, Encoder& enc, Decoder& dec) {
   t.encode(enc);
@@ -60,6 +67,16 @@ template <typename T>
 inline constexpr bool is_set_v = false;
 template <typename U>
 inline constexpr bool is_set_v<std::set<U>> = true;
+
+template <typename T>
+inline constexpr bool is_map_v = false;
+template <typename K, typename V>
+inline constexpr bool is_map_v<std::map<K, V>> = true;
+
+template <typename T>
+inline constexpr bool is_tuple_v = false;
+template <typename... Ts>
+inline constexpr bool is_tuple_v<std::tuple<Ts...>> = true;
 
 template <typename T>
 inline constexpr bool is_pair_v = false;
@@ -133,13 +150,16 @@ void write(Encoder& enc, const T& v) {
     enc.bytes(v);
   } else if constexpr (SelfCodec<T>) {
     v.encode(enc);
-  } else if constexpr (detail::is_vector_v<T> || detail::is_set_v<T>) {
+  } else if constexpr (detail::is_vector_v<T> || detail::is_set_v<T> ||
+                       detail::is_map_v<T>) {
     COLONY_ASSERT(v.size() <= UINT32_MAX, "container exceeds u32 prefix");
     enc.u32(static_cast<std::uint32_t>(v.size()));
     for (const auto& elem : v) write(enc, elem);
   } else if constexpr (detail::is_pair_v<T>) {
     write(enc, v.first);
     write(enc, v.second);
+  } else if constexpr (detail::is_tuple_v<T>) {
+    std::apply([&enc](const auto&... f) { (write(enc, f), ...); }, v);
   } else if constexpr (detail::is_optional_v<T>) {
     enc.boolean(v.has_value());
     if (v.has_value()) write(enc, *v);
@@ -150,8 +170,7 @@ void write(Encoder& enc, const T& v) {
   } else if constexpr (FieldTuple<T>) {
     // Messages declare a single non-const fields(); writing does not
     // mutate, so shedding constness here is safe.
-    std::apply([&enc](const auto&... f) { (write(enc, f), ...); },
-               const_cast<T&>(v).fields());
+    write(enc, const_cast<T&>(v).fields());
   } else {
     static_assert(!sizeof(T*), "type has no codec mapping");
   }
@@ -179,9 +198,11 @@ void read_into(Decoder& dec, T& out) {
   } else if constexpr (std::is_floating_point_v<T>) {
     out = static_cast<T>(dec.f64());
   } else if constexpr (std::is_same_v<T, std::string>) {
-    out = dec.str();
+    const ByteView v = dec.bytes_view();
+    out.assign(reinterpret_cast<const char*>(v.data()), v.size());
   } else if constexpr (std::is_same_v<T, Bytes>) {
-    out = dec.bytes();
+    const ByteView v = dec.bytes_view();
+    out.assign(v.begin(), v.end());
   } else if constexpr (SelfCodec<T>) {
     out = T::decode(dec);
   } else if constexpr (detail::is_vector_v<T>) {
@@ -207,9 +228,22 @@ void read_into(Decoder& dec, T& out) {
     for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
       out.insert(read<typename T::value_type>(dec));
     }
+  } else if constexpr (detail::is_map_v<T>) {
+    out.clear();
+    const std::uint32_t n = dec.u32();
+    if (n > dec.remaining()) {
+      dec.fail();
+      return;
+    }
+    for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
+      auto key = read<typename T::key_type>(dec);
+      read_into(dec, out.try_emplace(out.end(), std::move(key))->second);
+    }
   } else if constexpr (detail::is_pair_v<T>) {
     read_into(dec, out.first);
     read_into(dec, out.second);
+  } else if constexpr (detail::is_tuple_v<T>) {
+    std::apply([&dec](auto&... f) { (read_into(dec, f), ...); }, out);
   } else if constexpr (detail::is_optional_v<T>) {
     if (dec.boolean()) {
       read_into(dec, out.emplace());
@@ -221,7 +255,8 @@ void read_into(Decoder& dec, T& out) {
     detail::read_variant(dec, index, out,
                          std::make_index_sequence<std::variant_size_v<T>>{});
   } else if constexpr (FieldTuple<T>) {
-    std::apply([&dec](auto&... f) { (read_into(dec, f), ...); }, out.fields());
+    auto fields = out.fields();
+    read_into(dec, fields);
   } else {
     static_assert(!sizeof(T*), "type has no codec mapping");
   }
@@ -245,13 +280,20 @@ template <typename T>
   return out;
 }
 
-/// Decode from trusted bytes (a checksum-verified frame): a decode failure
-/// here means encode and decode disagree, which is a bug, so it asserts.
+/// Decode from trusted bytes (a checksum-verified frame) into `out`, which
+/// may be a tie of existing members: a decode failure here means encode
+/// and decode disagree, which is a bug, so it asserts.
+template <typename T>
+void from_bytes(ByteView bytes, T&& out) {
+  Decoder dec(bytes);
+  read_into(dec, out);
+  COLONY_ASSERT(dec.ok() && dec.done(), "message codec round-trip mismatch");
+}
+
 template <typename T>
 [[nodiscard]] T from_bytes(ByteView bytes) {
-  Decoder dec(bytes);
-  T out = read<T>(dec);
-  COLONY_ASSERT(dec.ok() && dec.done(), "message codec round-trip mismatch");
+  T out{};
+  from_bytes(bytes, out);
   return out;
 }
 

@@ -143,7 +143,6 @@ void fuzz_roundtrip(std::uint32_t kind) {
 
 // Edge <-> DC session protocol.
 WIRE_ROUNDTRIP_TEST(EdgeCommitReq, kEdgeCommit)
-WIRE_ROUNDTRIP_TEST(EdgeCommitResp, kEdgeCommit)
 WIRE_ROUNDTRIP_TEST(SubscribeReq, kSubscribe)
 WIRE_ROUNDTRIP_TEST(SubscribeResp, kSubscribe)
 WIRE_ROUNDTRIP_TEST(FetchReq, kFetchObject)
