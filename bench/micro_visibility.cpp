@@ -1,11 +1,15 @@
 // Wall-clock micro-costs of the visibility layer: transaction ingest with
 // causal checks, visibility tests against a cut, K-stable predicate
 // evaluation, security-mask recomputation over a history, and the engine
-// checkpoint round trip.
+// and store checkpoint round trips.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "core/visibility.hpp"
 #include "crdt/counter.hpp"
+#include "crdt/registers.hpp"
+#include "crdt/rga.hpp"
 
 namespace colony {
 namespace {
@@ -131,6 +135,60 @@ void BM_EngineCheckpoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineCheckpoint)->Arg(1000)->Arg(10000);
+
+void BM_StoreCheckpoint(benchmark::State& state) {
+  // encode + decode of a TxnStore and a JournalStore holding N objects, the
+  // rest of every node checkpoint: counters, LWW registers and RGAs in
+  // turn, four ops each, the first two baked into the base version and the
+  // last two journalled, with one transaction record per op.
+  constexpr std::uint64_t kOpsPerObject = 4;
+  const auto objects = static_cast<std::uint64_t>(state.range(0));
+  TxnStore txns;
+  JournalStore store;
+  for (std::uint64_t i = 0; i < objects; ++i) {
+    const ObjectKey key{"b", "o" + std::to_string(i)};
+    const CrdtType type = i % 3 == 0   ? CrdtType::kPnCounter
+                          : i % 3 == 1 ? CrdtType::kLwwRegister
+                                       : CrdtType::kRga;
+    Dot after;
+    for (std::uint64_t k = 1; k <= kOpsPerObject; ++k) {
+      const Dot dot{1 + i % 8, i * kOpsPerObject + k};
+      const Arb arb{dot.counter, dot};
+      Bytes op;
+      if (type == CrdtType::kPnCounter) {
+        op = PnCounter::prepare_add(static_cast<std::int64_t>(k));
+      } else if (type == CrdtType::kLwwRegister) {
+        op = LwwRegister::prepare_assign("value " + std::to_string(k), arb);
+      } else {
+        op = Rga::prepare_insert(after, "message " + std::to_string(k), arb);
+        after = dot;
+      }
+      store.apply(key, type, dot, op);
+      Transaction txn;
+      txn.meta.dot = dot;
+      txn.meta.origin = dot.origin;
+      txn.meta.snapshot = VersionVector(3);
+      txn.meta.mark_accepted(0, dot.counter);
+      txn.ops.push_back(OpRecord{key, type, std::move(op)});
+      txns.add(std::move(txn));
+    }
+    store.advance_base(key, [](const Dot& d) {
+      return (d.counter - 1) % kOpsPerObject < 2;
+    });
+  }
+  TxnStore restored_txns;
+  JournalStore restored_store;
+  for (auto _ : state) {
+    Encoder enc;
+    txns.encode(enc);
+    store.encode(enc);
+    Decoder dec(enc.data());
+    restored_txns.decode(dec);
+    restored_store.decode(dec);
+    benchmark::DoNotOptimize(restored_txns.size());
+  }
+}
+BENCHMARK(BM_StoreCheckpoint)->Arg(64)->Arg(1024);
 
 }  // namespace
 }  // namespace colony

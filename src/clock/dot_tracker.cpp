@@ -1,9 +1,7 @@
 #include "clock/dot_tracker.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "util/assert.hpp"
+#include "util/codec.hpp"
 
 namespace colony {
 
@@ -33,36 +31,8 @@ std::uint64_t DotTracker::prefix(NodeId origin) const {
   return it == state_.end() ? 0 : it->second.prefix;
 }
 
-void DotTracker::encode(Encoder& enc) const {
-  std::vector<NodeId> origins;
-  origins.reserve(state_.size());
-  for (const auto& [origin, _] : state_) origins.push_back(origin);
-  std::sort(origins.begin(), origins.end());
-  enc.u32(static_cast<std::uint32_t>(origins.size()));
-  for (const NodeId origin : origins) {
-    const PerOrigin& po = state_.at(origin);
-    enc.u64(origin);
-    enc.u64(po.prefix);
-    enc.u32(static_cast<std::uint32_t>(po.beyond.size()));
-    for (const std::uint64_t c : po.beyond) enc.u64(c);  // std::set: sorted
-  }
-}
+void DotTracker::encode(Encoder& enc) const { codec::write(enc, state_); }
 
-void DotTracker::decode(Decoder& dec) {
-  state_.clear();
-  const std::uint32_t n = dec.u32();
-  if (n > dec.remaining()) dec.fail();
-  for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-    const NodeId origin = dec.u64();
-    PerOrigin po;
-    po.prefix = dec.u64();
-    const std::uint32_t beyond = dec.u32();
-    if (beyond > dec.remaining()) dec.fail();
-    for (std::uint32_t j = 0; j < beyond && dec.ok(); ++j) {
-      po.beyond.insert(dec.u64());
-    }
-    state_.emplace(origin, std::move(po));
-  }
-}
+void DotTracker::decode(Decoder& dec) { codec::read_into(dec, state_); }
 
 }  // namespace colony

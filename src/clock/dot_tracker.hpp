@@ -8,8 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <set>
-#include <unordered_map>
+#include <tuple>
 
 #include "clock/dot.hpp"
 
@@ -29,8 +30,8 @@ class DotTracker {
   /// Number of origins tracked (for introspection/tests).
   [[nodiscard]] std::size_t origins() const { return state_.size(); }
 
-  /// Checkpoint serialization. Deterministic: origins encode in sorted
-  /// order (the backing map is unordered). decode() replaces contents.
+  /// Checkpoint serialization: the codec layout of the per-origin map, in
+  /// origin order. decode() replaces contents.
   void encode(Encoder& enc) const;
   void decode(Decoder& dec);
   void clear() { state_.clear(); }
@@ -39,9 +40,11 @@ class DotTracker {
   struct PerOrigin {
     std::uint64_t prefix = 0;         // all counters <= prefix are seen
     std::set<std::uint64_t> beyond;   // out-of-order counters > prefix
+
+    auto fields() { return std::tie(prefix, beyond); }
   };
 
-  std::unordered_map<NodeId, PerOrigin> state_;
+  std::map<NodeId, PerOrigin> state_;
 };
 
 }  // namespace colony

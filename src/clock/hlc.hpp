@@ -1,13 +1,16 @@
-// Hybrid logical clock used by DC shards for ClockSI-style timestamping.
+// Hybrid logical clock: an edge node's arbitration clock.
 //
-// ClockSI (Du et al., SRDS'13) assumes loosely synchronised physical clocks;
-// the HLC combines the shard's (possibly skewed) physical clock with a
-// logical component so that timestamps are monotonic and respect message
-// causality even under skew.
+// Every LWW-style operation an edge prepares carries an Arb whose timestamp
+// comes from this clock (section 3.5's total arbitration order). The HLC
+// combines the node's (possibly skewed) physical clock with a logical
+// component, so its timestamps are monotonic, and witnessing the timestamp
+// of a value the node has read orders what it writes next after it, even
+// when the writer's clock runs behind the reader's.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 
 #include "util/types.hpp"
 
@@ -15,12 +18,12 @@ namespace colony {
 
 class HybridLogicalClock {
  public:
-  /// `now()` must be supplied by the caller (the simulator's notion of this
-  /// shard's physical clock, including its skew).
+  /// `physical_now` is supplied by the caller (the simulator's notion of
+  /// this node's physical clock, including its skew).
   Timestamp tick(SimTime physical_now);
 
-  /// Witness a remote timestamp (message receipt): the clock advances past
-  /// it so subsequent local events are ordered after it.
+  /// Witness a timestamp seen elsewhere (a value read from another node):
+  /// the clock advances past it so the next local event orders after it.
   Timestamp witness(SimTime physical_now, Timestamp remote);
 
   [[nodiscard]] Timestamp last() const { return last_; }
@@ -29,6 +32,9 @@ class HybridLogicalClock {
   /// preserved because the durable value is at least as fresh as any
   /// timestamp this clock handed out before the crash.
   void restore(Timestamp last) { last_ = last; }
+
+  /// Checkpoint layout: the high-water mark.
+  auto fields() { return std::tie(last_); }
 
  private:
   Timestamp last_ = 0;

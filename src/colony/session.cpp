@@ -86,9 +86,11 @@ void Session::increment(Txn& txn, const ObjectKey& key, std::int64_t delta) {
 
 void Session::assign(Txn& txn, const ObjectKey& key,
                      const std::string& value) {
+  // The assignment orders after the value it overwrites.
+  const auto* cached = dynamic_cast<const LwwRegister*>(node_.cached(key));
+  const Arb arb = node_.make_arb(cached != nullptr ? cached->arb().ts : 0);
   node_.update(txn, OpRecord{key, CrdtType::kLwwRegister,
-                             LwwRegister::prepare_assign(value,
-                                                         node_.make_arb())});
+                             LwwRegister::prepare_assign(value, arb)});
 }
 
 void Session::add_to_set(Txn& txn, const ObjectKey& key,
@@ -123,8 +125,11 @@ void Session::append(Txn& txn, const ObjectKey& key,
 
 void Session::map_assign(Txn& txn, const ObjectKey& map_key,
                          const std::string& field, const std::string& value) {
-  const Bytes nested =
-      LwwRegister::prepare_assign(value, node_.make_arb());
+  const auto* map = dynamic_cast<const GMap*>(node_.cached(map_key));
+  const auto* cached =
+      map != nullptr ? map->field_as<LwwRegister>(field) : nullptr;
+  const Bytes nested = LwwRegister::prepare_assign(
+      value, node_.make_arb(cached != nullptr ? cached->arb().ts : 0));
   node_.update(txn,
                OpRecord{map_key, CrdtType::kGMap,
                         GMap::prepare_update(field, CrdtType::kLwwRegister,

@@ -207,25 +207,6 @@ void Epaxos::commit_instance(const InstanceId& inst, const Command& cmd,
   try_execute();
 }
 
-std::vector<CommitMsg> Epaxos::committed_instances() const {
-  std::vector<CommitMsg> out;
-  for (const auto& [inst, record] : instances_) {
-    if (record.status >= InstanceStatus::kCommitted) {
-      out.push_back(CommitMsg{inst, record.cmd, record.seq, record.deps});
-    }
-  }
-  return out;
-}
-
-void Epaxos::install_committed(const std::vector<CommitMsg>& instances) {
-  for (const CommitMsg& msg : instances) {
-    next_slot_ = std::max(
-        next_slot_, msg.inst.replica == self_ ? msg.inst.slot + 1 : next_slot_);
-    commit_instance(msg.inst, msg.cmd, msg.seq, msg.deps,
-                    /*broadcast_commit=*/false);
-  }
-}
-
 InstanceStatus Epaxos::status(const InstanceId& inst) const {
   const auto it = instances_.find(inst);
   return it == instances_.end() ? InstanceStatus::kNone : it->second.status;

@@ -16,9 +16,11 @@
 //  * Fast quorum is N-1 (the "basic", non-thrifty variant); with a full
 //    fast quorum the fast path is safe for any f.
 //  * Explicit-prepare failure recovery is replaced by group epochs: on a
-//    membership change the parent restarts consensus in a new epoch and
-//    members exchange committed instances (catch-up), which matches how
-//    Colony reconfigures groups via the parent (section 5.1.1).
+//    membership change the parent restarts consensus in a new epoch, each
+//    member re-proposes its own undelivered commands there, and a
+//    rejoining member re-seeds its state from subscription snapshots
+//    rather than from other members' instances. This matches how Colony
+//    reconfigures groups via the parent (section 5.1.1).
 #pragma once
 
 #include <cstdint>
@@ -131,13 +133,6 @@ class Epaxos {
   /// the accept round itself only needs a slow quorum. Owners call this
   /// from a timer. Returns true if the instance transitioned.
   bool nudge(const InstanceId& inst);
-
-  /// Committed-but-possibly-unexecuted instances, for catch-up transfer to
-  /// a (re)joining member.
-  [[nodiscard]] std::vector<CommitMsg> committed_instances() const;
-
-  /// Install instances learned via catch-up (idempotent).
-  void install_committed(const std::vector<CommitMsg>& instances);
 
   [[nodiscard]] std::size_t executed_count() const { return executed_count_; }
   [[nodiscard]] std::size_t committed_count() const {

@@ -90,29 +90,15 @@ bool TxnStore::visible_at(const Dot& dot, const VersionVector& cut) const {
   return visible;
 }
 
-std::vector<Dot> TxnStore::all_dots() const {
-  std::vector<Dot> out;
-  out.reserve(txns_.size());
-  for (const auto& [dot, _] : txns_) out.push_back(dot);
-  return out;
-}
-
 void TxnStore::encode(Encoder& enc) const {
-  std::vector<Dot> dots = all_dots();
-  std::sort(dots.begin(), dots.end());
-  enc.u32(static_cast<std::uint32_t>(dots.size()));
-  for (const Dot& dot : dots) codec::write(enc, txns_.at(dot));
+  // checkpoint() is non-const so decode can read into it; writing does not
+  // mutate.
+  codec::write(enc, const_cast<TxnStore*>(this)->checkpoint());
 }
 
 void TxnStore::decode(Decoder& dec) {
-  txns_.clear();
-  const std::uint32_t n = dec.u32();
-  if (n > dec.remaining()) dec.fail();
-  for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
-    auto txn = codec::read<Transaction>(dec);
-    const Dot dot = txn.meta.dot;
-    txns_.emplace(dot, std::move(txn));
-  }
+  auto fields = checkpoint();
+  codec::read_into(dec, fields);
 }
 
 }  // namespace colony

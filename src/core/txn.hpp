@@ -25,6 +25,7 @@
 #include "clock/dot_tracker.hpp"
 #include "clock/version_vector.hpp"
 #include "crdt/crdt.hpp"
+#include "util/codec.hpp"
 #include "util/types.hpp"
 
 namespace colony {
@@ -152,16 +153,19 @@ class TxnStore {
 
   [[nodiscard]] std::size_t size() const { return txns_.size(); }
 
-  /// All known dots (test/inspection helper).
-  [[nodiscard]] std::vector<Dot> all_dots() const;
-
-  /// Checkpoint serialization. Deterministic: transactions encode sorted
-  /// by dot (the backing map is unordered). decode() replaces contents.
+  /// Checkpoint serialization: every transaction, in dot order (the
+  /// backing map is unordered). decode() replaces contents.
   void encode(Encoder& enc) const;
   void decode(Decoder& dec);
   void clear() { txns_.clear(); }
 
  private:
+  /// The checkpoint's one declaration, written and read by the codec.
+  auto checkpoint() {
+    constexpr auto dot_of = [](const Transaction& t) { return t.meta.dot; };
+    return codec::ValuesByKey<dot_of, decltype(txns_)>{txns_};
+  }
+
   std::unordered_map<Dot, Transaction> txns_;
 };
 

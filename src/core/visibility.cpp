@@ -245,16 +245,7 @@ void VisibilityEngine::fire_txn_event(const Dot& dot) {
     const Transaction* txn = txns_.find(dot);
     if (txn != nullptr && txn->meta.concrete) index_coverage(dot);
   }
-  if (auto it = wake_on_txn_.find(dot); it != wake_on_txn_.end()) {
-    std::vector<WakeRef> refs = std::move(it->second);
-    wake_on_txn_.erase(it);
-    for (const WakeRef& ref : refs) {
-      const auto gen = guard_gen_.find(ref.dot);
-      if (gen != guard_gen_.end() && gen->second == ref.gen) {
-        push_ready(ref.dot);
-      }
-    }
-  }
+  wake_all(wake_on_txn_, dot);
   // The record's own metadata changed (fresh, merged commit slots, or a
   // resolved snapshot): any guard it registered may be stale — its
   // effective snapshot can shrink as well as grow — so re-examine it from
@@ -266,16 +257,21 @@ void VisibilityEngine::fire_txn_event(const Dot& dot) {
 }
 
 void VisibilityEngine::fire_apply_event(const Dot& dot) {
-  if (auto it = wake_on_apply_.find(dot); it != wake_on_apply_.end()) {
-    std::vector<WakeRef> refs = std::move(it->second);
-    wake_on_apply_.erase(it);
-    for (const WakeRef& ref : refs) {
-      const auto gen = guard_gen_.find(ref.dot);
-      if (gen != guard_gen_.end() && gen->second == ref.gen) {
-        push_ready(ref.dot);
-      }
-    }
-  }
+  wake_all(wake_on_apply_, dot);
+}
+
+void VisibilityEngine::wake(const WakeRef& ref) {
+  const auto gen = guard_gen_.find(ref.dot);
+  if (gen != guard_gen_.end() && gen->second == ref.gen) push_ready(ref.dot);
+}
+
+void VisibilityEngine::wake_all(
+    std::unordered_map<Dot, std::vector<WakeRef>>& lists, const Dot& dot) {
+  const auto it = lists.find(dot);
+  if (it == lists.end()) return;
+  const std::vector<WakeRef> refs = std::move(it->second);
+  lists.erase(it);
+  for (const WakeRef& ref : refs) wake(ref);
 }
 
 void VisibilityEngine::wake_state_component(DcId dc) {
@@ -294,10 +290,7 @@ void VisibilityEngine::wake_state_component(DcId dc) {
     while (!queue.empty() && queue.begin()->first <= now) {
       const WakeRef ref = queue.begin()->second;
       queue.erase(queue.begin());
-      const auto gen = guard_gen_.find(ref.dot);
-      if (gen != guard_gen_.end() && gen->second == ref.gen) {
-        push_ready(ref.dot);
-      }
+      wake(ref);
     }
     if (queue.empty()) wake_on_state_.erase(it);
   }
@@ -533,38 +526,17 @@ JournalStore::DotPredicate VisibilityEngine::visible_predicate() const {
 // Durability: checkpoint export/import.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::vector<Dot> sorted_dots(const std::unordered_set<Dot>& set) {
-  std::vector<Dot> out(set.begin(), set.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-}  // namespace
-
 void VisibilityEngine::encode_state(Encoder& enc) const {
-  state_.encode(enc);
-  seeded_cut_.encode(enc);
-  applied_slots_.encode(enc);
-  codec::write(enc, log_);
-  codec::write(enc, sorted_dots(masked_));
-  codec::write(enc, sorted_dots(pending_set_));
+  // durable_state() is non-const so decode_state can read into it; writing
+  // does not mutate.
+  codec::write(enc, const_cast<VisibilityEngine*>(this)->durable_state());
 }
 
 void VisibilityEngine::decode_state(Decoder& dec) {
   reset();
-  state_ = VersionVector::decode(dec);
-  seeded_cut_ = VersionVector::decode(dec);
-  applied_slots_.decode(dec);
-  codec::read_into(dec, log_);
+  auto fields = durable_state();
+  codec::read_into(dec, fields);
   applied_.insert(log_.begin(), log_.end());
-  const auto read_dots = [&dec](std::unordered_set<Dot>& out) {
-    const auto dots = codec::read<std::vector<Dot>>(dec);
-    out.insert(dots.begin(), dots.end());
-  };
-  read_dots(masked_);
-  read_dots(pending_set_);
   rebuild_masked_index();
   // The wake index is derived state: re-register every pending transaction.
   // A checkpoint is only taken at a quiescent point within the node, so

@@ -28,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -215,11 +216,26 @@ class VisibilityEngine {
   /// construction.
   void decode_state(Decoder& dec);
 
+  /// The engine as one field of a node's checkpoint, laid out by
+  /// encode_state and read back by decode_state.
+  struct Checkpoint {
+    VisibilityEngine& engine;
+    void encode(Encoder& enc) const { engine.encode_state(enc); }
+    void decode(Decoder& dec) { engine.decode_state(dec); }
+  };
+
   /// Drop every piece of engine state (crash): applied/masked/pending
   /// sets, log, state vector, wake index. Configuration wiring survives.
   void reset();
 
  private:
+  /// Guard registrations are tagged with a generation; stale wake entries
+  /// (the dot re-registered elsewhere, or applied) are skipped on fire.
+  struct WakeRef {
+    Dot dot;
+    std::uint64_t gen = 0;
+  };
+
   /// Apply a transaction outside the drain (read-my-writes or external
   /// order), then drain whatever that unblocked.
   void apply_unscheduled(const Transaction& txn);
@@ -248,6 +264,12 @@ class VisibilityEngine {
   /// and re-examine `dot` itself if pending.
   void fire_txn_event(const Dot& dot);
   void fire_apply_event(const Dot& dot);
+  /// Re-examine the waiter of `ref` unless its guard went stale (the dot
+  /// re-registered elsewhere, or left the pending set).
+  void wake(const WakeRef& ref);
+  /// Take the wake list registered under `dot` out of `lists` and wake it.
+  void wake_all(std::unordered_map<Dot, std::vector<WakeRef>>& lists,
+                const Dot& dot);
   /// Pop state-threshold guards and coverage entries up to state_[dc].
   void wake_state_component(DcId dc);
   /// Pop every state/coverage queue against the current state vector.
@@ -268,6 +290,11 @@ class VisibilityEngine {
   [[nodiscard]] bool masked_dependency(const Transaction& txn,
                                        const VersionVector& eff) const;
   void rebuild_masked_index();
+  /// The checkpoint layout; every other member is derived from these.
+  auto durable_state() {
+    return std::tie(state_, seeded_cut_, applied_slots_, log_, masked_,
+                    pending_set_);
+  }
 
   TxnStore& txns_;
   JournalStore& store_;
@@ -289,12 +316,6 @@ class VisibilityEngine {
   Observer* observer_ = nullptr;
 
   // --- scheduler state ------------------------------------------------------
-  /// Guard registrations are tagged with a generation; stale wake entries
-  /// (the dot re-registered elsewhere, or applied) are skipped on fire.
-  struct WakeRef {
-    Dot dot;
-    std::uint64_t gen = 0;
-  };
   std::uint64_t guard_seq_ = 0;
   std::unordered_map<Dot, std::uint64_t> guard_gen_;
   /// dep dot -> waiters re-examined when the dep is ingested/admitted or

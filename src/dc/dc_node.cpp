@@ -743,51 +743,33 @@ void DcNode::replay_record(std::uint32_t type, ByteView payload) {
 }
 
 void DcNode::encode_checkpoint(Encoder& enc) const {
-  enc.u32(3);  // checkpoint layout version
-  enc.u64(local_dot_counter_);
-  enc.u64(gossip_count_);
-  codec::write(enc, my_commits_);
-  codec::write(enc, dc_states_);
-  codec::write(enc, sessions_);  // each session's SessionRecord fields
-  txns_.encode(enc);
-  store_.encode(enc);
-  engine_.encode_state(enc);
+  // checkpoint() is non-const so decode can read into it; writing does not
+  // mutate.
+  codec::write(enc, const_cast<DcNode*>(this)->checkpoint());
 }
 
 void DcNode::decode_checkpoint(ByteView snapshot) {
-  Decoder dec(snapshot);
-  const std::uint32_t version = dec.u32();
-  COLONY_ASSERT(version == 3, "unknown DC checkpoint layout");
-  local_dot_counter_ = dec.u64();
-  gossip_count_ = dec.u64();
-  my_commits_ = codec::read<std::vector<Dot>>(dec);
-  dc_states_ = codec::read<std::vector<VersionVector>>(dec);
+  codec::from_bytes(snapshot, checkpoint());
   COLONY_ASSERT(dc_states_.size() == config_.num_dcs,
                 "checkpoint from a different topology");
-  codec::read_into(dec, sessions_);
-  txns_.decode(dec);
-  store_.decode(dec);
-  engine_.decode_state(dec);
   recompute_k_cut();
-  COLONY_ASSERT(dec.ok() && dec.done(), "DC checkpoint decode mismatch");
 }
 
 void DcNode::encode_durable(Encoder& enc) const {
-  enc.u64(local_dot_counter_);
-  codec::write(enc, my_commits_);
-  codec::write(enc, dc_states_);
-  enc.u32(static_cast<std::uint32_t>(sessions_.size()));
+  // Sessions by identity only: channel positions drift recordlessly
+  // between session mutations (pushes, acks) and are re-established by the
+  // reconnect resync, so they are outside the exact-restoration contract.
+  std::vector<std::tuple<NodeId, const UserId&, const std::set<ObjectKey>&>>
+      sessions;
+  sessions.reserve(sessions_.size());
   for (const auto& [node, session] : sessions_) {
-    // Identity only: channel positions drift recordlessly between session
-    // mutations (pushes, acks) and are re-established by the reconnect
-    // resync, so they are outside the exact-restoration contract.
-    enc.u64(node);
-    enc.u64(session.user);
-    codec::write(enc, session.interest);
+    sessions.emplace_back(node, session.user, session.interest);
   }
-  txns_.encode(enc);
-  store_.encode(enc);
-  engine_.encode_state(enc);
+  codec::write(enc, std::forward_as_tuple(
+                        local_dot_counter_, my_commits_, dc_states_, sessions,
+                        txns_, store_,
+                        VisibilityEngine::Checkpoint{
+                            const_cast<DcNode*>(this)->engine_}));
 }
 
 void DcNode::schedule_gossip() {

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/txn.hpp"
@@ -192,11 +193,22 @@ class DcNode final : public storage::DurableNode {
 
   void log_session(NodeId node, const EdgeSession& session);
   void replay_record(std::uint32_t type, ByteView payload) override;
+  /// The checkpoint: layout word 3, then every durable field, sessions
+  /// with their channel positions.
+  static constexpr std::integral_constant<std::uint32_t, 3> kCheckpointLayout{};
+  auto checkpoint() {
+    return std::tuple_cat(
+        std::tie(kCheckpointLayout, local_dot_counter_, gossip_count_,
+                 my_commits_, dc_states_, sessions_, txns_, store_),
+        std::tuple(VisibilityEngine::Checkpoint{engine_}));
+  }
   void encode_checkpoint(Encoder& enc) const override;
   void decode_checkpoint(ByteView snapshot) override;
   /// The recovery-invariant projection: every field the WAL contract
-  /// promises to restore exactly. Excludes volatile fields (CPU queue,
-  /// parked executions, gossip cadence) and session progress counters.
+  /// promises to restore exactly. The checkpoint without the gossip
+  /// cadence and the sessions' progress counters, which drift without
+  /// records; volatile fields (CPU queue, parked executions) are in
+  /// neither.
   void encode_durable(Encoder& enc) const override;
   void wipe() override;
   /// Recompute the cut, which refreshes this DC's own dc_states_ row.

@@ -76,19 +76,8 @@ void EdgeNode::migrate_transaction(std::vector<ObjectKey> reads,
                                    CloudCb cb) {
   auto run = [this, reads = std::move(reads), updates = std::move(updates),
               cb = std::move(cb)]() mutable {
-    proto::DcExecuteReq req;
-    req.reads = std::move(reads);
-    req.updates = std::move(updates);
-    req.user = config_.user;
-    req.min_snapshot = engine_.state_vector();
-    call(config_.dc, proto::kDcExecute, std::move(req),
-         [cb = std::move(cb)](Result<Bytes> r) {
-           if (!r.ok()) {
-             cb(r.error());
-             return;
-           }
-           cb(codec::from_bytes<proto::DcExecuteResp>(r.value()));
-         });
+    execute_at_dc(std::move(reads), std::move(updates),
+                  engine_.state_vector(), std::move(cb));
   };
   if (unacked_.empty()) {
     run();
@@ -99,12 +88,13 @@ void EdgeNode::migrate_transaction(std::vector<ObjectKey> reads,
   }
 }
 
-Arb EdgeNode::make_arb() {
+Arb EdgeNode::make_arb(Timestamp overwrites) {
   // local_now (not now) so injected clock skew flows into arbitration
   // timestamps — the HLC absorbs it, which is exactly what chaos verifies.
-  // The tick depends on the wall clock, which replay cannot reproduce; the
+  // The step depends on the wall clock, which replay cannot reproduce; the
   // record carries the resulting HLC state instead.
-  const Timestamp ts = HybridLogicalClock{hlc_}.tick(net_.local_now(id()));
+  const Timestamp ts = HybridLogicalClock{hlc_}.witness(
+      net_.local_now(id()), overwrites);
   log_record(kEdgeHlc, ts);
   apply_hlc(ts);
   return Arb{ts, fresh_dot()};
@@ -345,9 +335,16 @@ void EdgeNode::propose_in_group(const proto::GroupCommand& gc,
 
 void EdgeNode::cloud_execute(std::vector<ObjectKey> reads,
                              std::vector<OpRecord> updates, CloudCb cb) {
+  execute_at_dc(std::move(reads), std::move(updates), VersionVector{},
+                std::move(cb));
+}
+
+void EdgeNode::execute_at_dc(std::vector<ObjectKey> reads,
+                             std::vector<OpRecord> updates,
+                             VersionVector min_snapshot, CloudCb cb) {
   call(config_.dc, proto::kDcExecute,
        proto::DcExecuteReq{std::move(reads), std::move(updates),
-                           config_.user, VersionVector{}},
+                           config_.user, std::move(min_snapshot)},
        [cb = std::move(cb)](Result<Bytes> r) {
          if (!r.ok()) {
            cb(r.error());
@@ -822,51 +819,13 @@ void EdgeNode::replay_record(std::uint32_t type, ByteView payload) {
 }
 
 void EdgeNode::encode_checkpoint(Encoder& enc) const {
-  enc.u32(2);  // checkpoint layout version
-  encode_durable(enc);
+  // checkpoint() is non-const so decode can read into it; writing does not
+  // mutate.
+  codec::write(enc, const_cast<EdgeNode*>(this)->checkpoint());
 }
 
 void EdgeNode::decode_checkpoint(ByteView snapshot) {
-  Decoder dec(snapshot);
-  const std::uint32_t version = dec.u32();
-  COLONY_ASSERT(version == 2, "unknown edge checkpoint layout");
-  config_.dc = dec.u64();
-  dot_counter_ = dec.u64();
-  commits_ = dec.u64();
-  hlc_.restore(dec.u64());
-  interest_ = InterestSet(config_.cache_capacity);
-  for (const auto& key : codec::read<std::vector<ObjectKey>>(dec)) {
-    interest_.add(key);
-  }
-  codec::read_into(dec, push_recv_);
-  const auto unacked = codec::read<std::vector<Dot>>(dec);
-  unacked_.assign(unacked.begin(), unacked.end());
-  last_local_unresolved_ = codec::read<std::optional<Dot>>(dec);
-  session_keys_.clear();
-  apply_session_keys(codec::read<SessionKeys>(dec));
-  txns_.decode(dec);
-  store_.decode(dec);
-  engine_.decode_state(dec);
-  COLONY_ASSERT(dec.ok() && dec.done(), "edge checkpoint decode mismatch");
-}
-
-void EdgeNode::encode_durable(Encoder& enc) const {
-  enc.u64(config_.dc);
-  enc.u64(dot_counter_);
-  enc.u64(commits_);
-  enc.u64(hlc_.last());
-  {
-    auto keys = interest_.keys();
-    std::sort(keys.begin(), keys.end());
-    codec::write(enc, keys);
-  }
-  codec::write(enc, push_recv_);
-  codec::write(enc, std::vector<Dot>(unacked_.begin(), unacked_.end()));
-  codec::write(enc, last_local_unresolved_);
-  codec::write(enc, SessionKeys(session_keys_.begin(), session_keys_.end()));
-  txns_.encode(enc);
-  store_.encode(enc);
-  engine_.encode_state(enc);
+  codec::from_bytes(snapshot, checkpoint());
 }
 
 void EdgeNode::wipe() {

@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "clock/hlc.hpp"
@@ -180,8 +182,10 @@ class EdgeNode final : public storage::DurableNode {
   // --- helpers for typed op preparation -----------------------------------
 
   /// Fresh arbitration token (timestamp from this node's hybrid clock plus
-  /// a fresh dot); unique per call.
-  Arb make_arb();
+  /// a fresh dot); unique per call. An assignment passes the timestamp of
+  /// the value it overwrites: the clock witnesses it, so the token orders
+  /// after that value even when this node's clock runs behind its writer's.
+  Arb make_arb(Timestamp overwrites = 0);
   /// Mint a fresh dot. WAL-logged: reusing a counter value after a restart
   /// would alias two distinct transactions under one identity.
   Dot fresh_dot();
@@ -262,13 +266,20 @@ class EdgeNode final : public storage::DurableNode {
   };
 
   void replay_record(std::uint32_t type, ByteView payload) override;
-  /// A checkpoint is the layout version word plus the durable projection.
-  void encode_checkpoint(Encoder& enc) const override;
-  void decode_checkpoint(ByteView snapshot) override;
-  /// The recovery-invariant projection (exact-restoration contract).
+  /// The checkpoint, which is also the recovery-invariant projection
+  /// (exact-restoration contract): layout word 2, then every durable field.
   /// Excludes txn_counter_ (local labels), watchers (dead callbacks),
   /// group state (volatile), and cache LRU order.
-  void encode_durable(Encoder& enc) const override;
+  static constexpr std::integral_constant<std::uint32_t, 2> kCheckpointLayout{};
+  auto checkpoint() {
+    return std::tuple_cat(
+        std::tie(kCheckpointLayout, config_.dc, dot_counter_, commits_, hlc_,
+                 interest_, push_recv_, unacked_, last_local_unresolved_,
+                 session_keys_, txns_, store_),
+        std::tuple(VisibilityEngine::Checkpoint{engine_}));
+  }
+  void encode_checkpoint(Encoder& enc) const override;
+  void decode_checkpoint(ByteView snapshot) override;
   void wipe() override;
   /// Restart the commit pump. The session channel resyncs from the DC side
   /// once it sees the node back up.
@@ -300,6 +311,12 @@ class EdgeNode final : public storage::DurableNode {
   void apply_invalidate();  // kEdgeInvalidate
   using SessionKeys = std::vector<std::pair<std::string, security::SessionKey>>;
   void apply_session_keys(const SessionKeys& keys);  // kEdgeSessionKey
+
+  /// Execute a transaction at the connected DC, at a snapshot no older
+  /// than `min_snapshot`.
+  void execute_at_dc(std::vector<ObjectKey> reads,
+                     std::vector<OpRecord> updates,
+                     VersionVector min_snapshot, CloudCb cb);
 
   // Commit pump towards the DC (kClientCache mode).
   void pump_commits();

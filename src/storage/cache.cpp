@@ -1,5 +1,9 @@
 #include "storage/cache.hpp"
 
+#include <algorithm>
+
+#include "util/codec.hpp"
+
 namespace colony {
 
 std::optional<ObjectKey> InterestSet::add(const ObjectKey& key) {
@@ -35,6 +39,20 @@ void InterestSet::remove(const ObjectKey& key) {
 
 std::vector<ObjectKey> InterestSet::keys() const {
   return {lru_.begin(), lru_.end()};
+}
+
+void InterestSet::encode(Encoder& enc) const {
+  std::vector<ObjectKey> sorted = keys();
+  std::sort(sorted.begin(), sorted.end());
+  codec::write(enc, sorted);
+}
+
+void InterestSet::decode(Decoder& dec) {
+  lru_.clear();
+  index_.clear();
+  for (const ObjectKey& key : codec::read<std::vector<ObjectKey>>(dec)) {
+    add(key);
+  }
 }
 
 }  // namespace colony

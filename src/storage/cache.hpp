@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/binary_codec.hpp"
 #include "util/types.hpp"
 
 namespace colony {
@@ -35,6 +36,11 @@ class InterestSet {
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::vector<ObjectKey> keys() const;
+
+  /// Checkpoint layout: the keys in key order, without the recency order.
+  /// decode() replaces the contents and keeps the capacity.
+  void encode(Encoder& enc) const;
+  void decode(Decoder& dec);
 
  private:
   std::size_t capacity_;

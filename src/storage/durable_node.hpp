@@ -15,8 +15,9 @@
 // rule that a dead incarnation's timers never touch the reborn node (every
 // timer goes through after() / at(), stamped with the incarnation that
 // scheduled it). A subclass supplies its record vocabulary and replay, its
-// checkpoint and durable projection, the state a crash wipes, what a
-// (re)started process schedules, and the replica the check recovers.
+// checkpoint (also its durable projection unless it narrows it), the state
+// a crash wipes, what a (re)started process schedules, and the replica the
+// check recovers.
 #pragma once
 
 #include <cstdint>
@@ -137,7 +138,9 @@ class DurableNode : public sim::RpcActor {
   virtual void encode_checkpoint(Encoder& enc) const = 0;
   virtual void decode_checkpoint(ByteView snapshot) = 0;
   /// The exact-restoration contract: every field recovery must restore.
-  virtual void encode_durable(Encoder& enc) const = 0;
+  /// By default that is the whole checkpoint; a node whose checkpoint
+  /// carries state that drifts without records projects it out.
+  virtual void encode_durable(Encoder& enc) const { encode_checkpoint(enc); }
   /// Reset every piece of in-memory state to that of a fresh process.
   virtual void wipe() = 0;
   /// Re-derive state no record carries, still inside the replay.

@@ -169,53 +169,29 @@ void JournalStore::clear() {
   objects_.clear();
 }
 
+void JournalStore::Snapshot::encode(Encoder& enc) const {
+  codec::write(enc, value->snapshot());
+}
+
+void JournalStore::Snapshot::decode(Decoder& dec) {
+  const auto state = codec::read<Bytes>(dec);
+  if (!dec.ok()) return;  // never restore from a failed decode
+  value = make_crdt(type);
+  value->restore(state);
+}
+
 void JournalStore::encode(Encoder& enc) const {
-  COLONY_ASSERT(objects_.size() <= UINT32_MAX, "store exceeds u32 prefix");
-  enc.u32(static_cast<std::uint32_t>(objects_.size()));
-  for (const auto& [key, s] : objects_) {  // std::map: key order
-    codec::write(enc, key);
-    codec::write(enc, s.type);
-    enc.bytes(s.base->snapshot());
-    codec::write(enc, s.base_dots);
-    COLONY_ASSERT(s.journal.size() <= UINT32_MAX, "journal exceeds u32");
-    enc.u32(static_cast<std::uint32_t>(s.journal.size()));
-    for (const JournalEntry& entry : s.journal) {
-      codec::write(enc, entry.dot);
-      enc.bytes(entry.payload);
-    }
-    enc.bytes(s.current->snapshot());
-  }
+  codec::write(enc, objects_);  // std::map: key order
 }
 
 void JournalStore::decode(Decoder& dec) {
-  objects_.clear();
-  const std::uint32_t count = dec.u32();
-  for (std::uint32_t i = 0; i < count && dec.ok(); ++i) {
-    ObjectKey key = codec::read<ObjectKey>(dec);
-    ObjectState s;
-    s.type = codec::read<CrdtType>(dec);
-    const Bytes base = dec.bytes();
-    s.base_dots = codec::read<std::vector<Dot>>(dec);
+  codec::read_into(dec, objects_);
+  if (!dec.ok()) {
+    objects_.clear();  // drop the objects a failed read left half-built
+    return;
+  }
+  for (auto& [key, s] : objects_) {
     s.base_dot_set.insert(s.base_dots.begin(), s.base_dots.end());
-    const std::uint32_t entries = dec.u32();
-    if (entries > dec.remaining()) {
-      dec.fail();
-      return;
-    }
-    s.journal.reserve(entries);
-    for (std::uint32_t j = 0; j < entries && dec.ok(); ++j) {
-      JournalEntry entry;
-      entry.dot = codec::read<Dot>(dec);
-      entry.payload = dec.bytes();
-      s.journal.push_back(std::move(entry));
-    }
-    const Bytes current = dec.bytes();
-    if (!dec.ok()) return;
-    s.base = make_crdt(s.type);
-    s.base->restore(base);
-    s.current = make_crdt(s.type);
-    s.current->restore(current);
-    objects_.emplace(std::move(key), std::move(s));
   }
 }
 

@@ -29,6 +29,8 @@ namespace colony {
 struct JournalEntry {
   Dot dot;
   Bytes payload;
+
+  auto fields() { return std::tie(dot, payload); }
 };
 
 /// Full-state transfer format for seeding a cache (group join, migration).
@@ -115,6 +117,16 @@ class JournalStore {
   void clear();
 
  private:
+  /// A materialisation laid out as its u32-prefixed snapshot, and read
+  /// back as an object of the type decoded before it.
+  struct Snapshot {
+    const CrdtType& type;
+    std::unique_ptr<Crdt>& value;
+
+    void encode(Encoder& enc) const;
+    void decode(Decoder& dec);
+  };
+
   struct ObjectState {
     CrdtType type{};
     std::unique_ptr<Crdt> base;     // checkpoint
@@ -122,6 +134,14 @@ class JournalStore {
     std::unordered_set<Dot> base_dot_set;  // same dots, O(1) lookup
     std::vector<JournalEntry> journal;
     std::unique_ptr<Crdt> current;  // base + visible journal entries
+
+    /// The checkpoint layout; base_dot_set is derived from base_dots.
+    std::tuple<CrdtType&, Snapshot, std::vector<Dot>&,
+               std::vector<JournalEntry>&, Snapshot>
+    fields() {
+      return {type, Snapshot{type, base}, base_dots, journal,
+              Snapshot{type, current}};
+    }
   };
 
   [[nodiscard]] const ObjectState* find(const ObjectKey& key) const;

@@ -11,28 +11,32 @@
 //
 // `codec::write`/`codec::read` then recurse over the tuple, dispatching on
 // type: primitives and enums are fixed-width little-endian, strings and
-// byte buffers are u32-length-prefixed, vectors, sets and maps are a u32
-// count then their elements (a map entry is its key then its value),
-// pairs, tuples, optionals and variants recurse, and types with their own
-// `encode`/`decode` members (the clock types Dot and VersionVector, and
-// the adaptor that nests one CRDT's snapshot in a map's) use those.
-// A tuple may hold references, so a writer can lay out members it does not
-// own without copying them. Transactions, WAL records, CRDT ops and CRDT
-// snapshots are written this way too: this file is the only code that lays
-// them out.
+// byte buffers are u32-length-prefixed, vectors, deques, sets and maps are
+// a u32 count then their elements (a map entry is its key then its value),
+// hash sets the same in sorted order, pairs, tuples, optionals and variants
+// recurse, a `std::integral_constant` is a fixed word (a layout version)
+// whose read fails on any other value, and types with their own
+// `encode`/`decode` members use those. A tuple may hold references, so a
+// writer can lay out members it does not own without copying them.
+// Transactions, WAL records, CRDT ops and snapshots, and every node and
+// store checkpoint are written this way too: this file is the only code
+// that lays them out.
 //
 // Decoding is bounds-checked end to end: the Decoder latches its failure
 // flag on truncated input, and container reads reject length prefixes that
 // could not possibly fit the remaining bytes before allocating.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -42,15 +46,20 @@
 
 namespace colony::codec {
 
-/// Types carrying their own codec members (`void encode(Encoder&) const`
-/// plus `static T decode(Decoder&)`): the clock types, whose compact
-/// encodings are tuned by hand, and adaptors over types with no members
-/// to tie (a nested CRDT behind a pointer).
+/// Types carrying their own codec members: `void encode(Encoder&) const`
+/// plus either `static T decode(Decoder&)` (the clock types, whose compact
+/// encodings are tuned by hand, and the adaptor that nests a CRDT behind a
+/// pointer) or an in-place `void decode(Decoder&)` (stores and engines that
+/// lay out their state as a tie and rebuild derived indexes after reading
+/// it, and adaptors that hold a reference to what they lay out).
 template <typename T>
-concept SelfCodec = requires(const T& t, Encoder& enc, Decoder& dec) {
-  t.encode(enc);
-  { T::decode(dec) } -> std::same_as<T>;
-};
+concept SelfCodec =
+    requires(const T& t, Encoder& enc) { t.encode(enc); } &&
+    (requires(Decoder& dec) {
+      { T::decode(dec) } -> std::same_as<T>;
+    } || requires(T& t, Decoder& dec) {
+      { t.decode(dec) } -> std::same_as<void>;
+    });
 
 /// Wire structs exposing their members as `std::tie(...)`.
 template <typename T>
@@ -58,40 +67,16 @@ concept FieldTuple = requires(T& t) { t.fields(); };
 
 namespace detail {
 
-template <typename T>
-inline constexpr bool is_vector_v = false;
-template <typename U>
-inline constexpr bool is_vector_v<std::vector<U>> = true;
+/// Is T an instantiation of the class template Tmpl?
+template <typename T, template <typename...> class Tmpl>
+inline constexpr bool is_a = false;
+template <template <typename...> class Tmpl, typename... Us>
+inline constexpr bool is_a<Tmpl<Us...>, Tmpl> = true;
 
 template <typename T>
-inline constexpr bool is_set_v = false;
-template <typename U>
-inline constexpr bool is_set_v<std::set<U>> = true;
-
-template <typename T>
-inline constexpr bool is_map_v = false;
-template <typename K, typename V>
-inline constexpr bool is_map_v<std::map<K, V>> = true;
-
-template <typename T>
-inline constexpr bool is_tuple_v = false;
-template <typename... Ts>
-inline constexpr bool is_tuple_v<std::tuple<Ts...>> = true;
-
-template <typename T>
-inline constexpr bool is_pair_v = false;
-template <typename A, typename B>
-inline constexpr bool is_pair_v<std::pair<A, B>> = true;
-
-template <typename T>
-inline constexpr bool is_optional_v = false;
-template <typename U>
-inline constexpr bool is_optional_v<std::optional<U>> = true;
-
-template <typename T>
-inline constexpr bool is_variant_v = false;
-template <typename... Ts>
-inline constexpr bool is_variant_v<std::variant<Ts...>> = true;
+inline constexpr bool is_constant_v = false;
+template <typename U, U kValue>
+inline constexpr bool is_constant_v<std::integral_constant<U, kValue>> = true;
 
 }  // namespace detail
 
@@ -128,7 +113,9 @@ void read_variant(Decoder& dec, std::uint8_t index, V& out,
 
 template <typename T>
 void write(Encoder& enc, const T& v) {
-  if constexpr (std::is_same_v<T, bool>) {
+  if constexpr (detail::is_constant_v<T>) {
+    write(enc, T::value);
+  } else if constexpr (std::is_same_v<T, bool>) {
     enc.boolean(v);
   } else if constexpr (std::is_enum_v<T>) {
     write(enc, static_cast<std::underlying_type_t<T>>(v));
@@ -150,20 +137,26 @@ void write(Encoder& enc, const T& v) {
     enc.bytes(v);
   } else if constexpr (SelfCodec<T>) {
     v.encode(enc);
-  } else if constexpr (detail::is_vector_v<T> || detail::is_set_v<T> ||
-                       detail::is_map_v<T>) {
+  } else if constexpr (detail::is_a<T, std::vector> ||
+                       detail::is_a<T, std::deque> ||
+                       detail::is_a<T, std::set> || detail::is_a<T, std::map>) {
     COLONY_ASSERT(v.size() <= UINT32_MAX, "container exceeds u32 prefix");
     enc.u32(static_cast<std::uint32_t>(v.size()));
     for (const auto& elem : v) write(enc, elem);
-  } else if constexpr (detail::is_pair_v<T>) {
+  } else if constexpr (detail::is_a<T, std::unordered_set>) {
+    // Sorted, so equal sets encode to equal bytes (the std::set layout).
+    std::vector<typename T::value_type> sorted(v.begin(), v.end());
+    std::sort(sorted.begin(), sorted.end());
+    write(enc, sorted);
+  } else if constexpr (detail::is_a<T, std::pair>) {
     write(enc, v.first);
     write(enc, v.second);
-  } else if constexpr (detail::is_tuple_v<T>) {
+  } else if constexpr (detail::is_a<T, std::tuple>) {
     std::apply([&enc](const auto&... f) { (write(enc, f), ...); }, v);
-  } else if constexpr (detail::is_optional_v<T>) {
+  } else if constexpr (detail::is_a<T, std::optional>) {
     enc.boolean(v.has_value());
     if (v.has_value()) write(enc, *v);
-  } else if constexpr (detail::is_variant_v<T>) {
+  } else if constexpr (detail::is_a<T, std::variant>) {
     static_assert(std::variant_size_v<T> <= 255);
     enc.u8(static_cast<std::uint8_t>(v.index()));
     std::visit([&enc](const auto& alt) { write(enc, alt); }, v);
@@ -181,7 +174,9 @@ void write(Encoder& enc, const T& v) {
 /// messages build no temporaries on the way.
 template <typename T>
 void read_into(Decoder& dec, T& out) {
-  if constexpr (std::is_same_v<T, bool>) {
+  if constexpr (detail::is_constant_v<std::remove_const_t<T>>) {
+    if (read<typename T::value_type>(dec) != T::value) dec.fail();
+  } else if constexpr (std::is_same_v<T, bool>) {
     out = dec.boolean();
   } else if constexpr (std::is_enum_v<T>) {
     out = static_cast<T>(read<std::underlying_type_t<T>>(dec));
@@ -204,8 +199,13 @@ void read_into(Decoder& dec, T& out) {
     const ByteView v = dec.bytes_view();
     out.assign(v.begin(), v.end());
   } else if constexpr (SelfCodec<T>) {
-    out = T::decode(dec);
-  } else if constexpr (detail::is_vector_v<T>) {
+    if constexpr (requires { { T::decode(dec) } -> std::same_as<T>; }) {
+      out = T::decode(dec);
+    } else {
+      out.decode(dec);
+    }
+  } else if constexpr (detail::is_a<T, std::vector> ||
+                       detail::is_a<T, std::deque>) {
     out.clear();
     const std::uint32_t n = dec.u32();
     // Every element encodes to >= 1 byte, so a count beyond the remaining
@@ -214,11 +214,17 @@ void read_into(Decoder& dec, T& out) {
       dec.fail();
       return;
     }
-    out.reserve(n);
+    if constexpr (detail::is_a<T, std::vector>) out.reserve(n);
     for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
       read_into(dec, out.emplace_back());
     }
-  } else if constexpr (detail::is_set_v<T>) {
+  } else if constexpr (detail::is_a<T, std::unordered_set>) {
+    // One bulk insert, which sizes the table once: the set iterates in the
+    // same order as any other set loaded from the same bytes.
+    const auto elems = read<std::vector<typename T::value_type>>(dec);
+    out.clear();
+    out.insert(elems.begin(), elems.end());
+  } else if constexpr (detail::is_a<T, std::set>) {
     out.clear();
     const std::uint32_t n = dec.u32();
     if (n > dec.remaining()) {
@@ -228,7 +234,7 @@ void read_into(Decoder& dec, T& out) {
     for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
       out.insert(read<typename T::value_type>(dec));
     }
-  } else if constexpr (detail::is_map_v<T>) {
+  } else if constexpr (detail::is_a<T, std::map>) {
     out.clear();
     const std::uint32_t n = dec.u32();
     if (n > dec.remaining()) {
@@ -239,18 +245,18 @@ void read_into(Decoder& dec, T& out) {
       auto key = read<typename T::key_type>(dec);
       read_into(dec, out.try_emplace(out.end(), std::move(key))->second);
     }
-  } else if constexpr (detail::is_pair_v<T>) {
+  } else if constexpr (detail::is_a<T, std::pair>) {
     read_into(dec, out.first);
     read_into(dec, out.second);
-  } else if constexpr (detail::is_tuple_v<T>) {
+  } else if constexpr (detail::is_a<T, std::tuple>) {
     std::apply([&dec](auto&... f) { (read_into(dec, f), ...); }, out);
-  } else if constexpr (detail::is_optional_v<T>) {
+  } else if constexpr (detail::is_a<T, std::optional>) {
     if (dec.boolean()) {
       read_into(dec, out.emplace());
     } else {
       out.reset();
     }
-  } else if constexpr (detail::is_variant_v<T>) {
+  } else if constexpr (detail::is_a<T, std::variant>) {
     const std::uint8_t index = dec.u8();
     detail::read_variant(dec, index, out,
                          std::make_index_sequence<std::variant_size_v<T>>{});
@@ -296,5 +302,36 @@ template <typename T>
   from_bytes(bytes, out);
   return out;
 }
+
+/// A hash map whose key is part of its value (a table indexed by an id its
+/// records carry), laid out as its values in key order: a u32 count, then
+/// each value. Sorting makes equal maps encode to equal bytes; a read
+/// derives each key from its value again through `KeyOf`.
+template <auto KeyOf, typename Map>
+struct ValuesByKey {
+  Map& map;
+
+  void encode(Encoder& enc) const {
+    std::vector<const typename Map::mapped_type*> values;
+    values.reserve(map.size());
+    for (const auto& [key, value] : map) values.push_back(&value);
+    std::sort(values.begin(), values.end(), [](const auto* a, const auto* b) {
+      return KeyOf(*a) < KeyOf(*b);
+    });
+    enc.u32(static_cast<std::uint32_t>(values.size()));
+    for (const auto* value : values) write(enc, *value);
+  }
+
+  void decode(Decoder& dec) {
+    map.clear();
+    const std::uint32_t n = dec.u32();
+    if (n > dec.remaining()) dec.fail();
+    for (std::uint32_t i = 0; i < n && dec.ok(); ++i) {
+      auto value = read<typename Map::mapped_type>(dec);
+      const auto key = KeyOf(value);
+      map.emplace(key, std::move(value));
+    }
+  }
+};
 
 }  // namespace colony::codec

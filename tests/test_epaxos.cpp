@@ -163,23 +163,6 @@ TEST(Epaxos, SlowPathUsedUnderConflict) {
   EXPECT_GE(total_slow, 1u);  // at least one leader saw updated attributes
 }
 
-TEST(Epaxos, CatchUpViaCommittedInstances) {
-  Net net(3);
-  net.replica(0).propose(cmd(1, 1, "x"));
-  net.replica(0).propose(cmd(1, 2, "x"));
-  net.pump();
-
-  // A fresh replica (e.g. a group joiner in a new epoch) installs the
-  // committed instances and executes them in the same order.
-  std::vector<Dot> delivered;
-  Epaxos joiner(
-      9, {9}, [](NodeId, const EpaxosMsg&) {},
-      [&](const Command& c) { delivered.push_back(c.id); });
-  joiner.install_committed(net.replica(0).committed_instances());
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_EQ(delivered, net.delivered(0));
-}
-
 TEST(Epaxos, MinorityFailureStillCommits) {
   Net net(3);
   net.set_down(3, true);  // one of three replicas down

@@ -135,5 +135,86 @@ TEST_F(SessionApiTest, GrantViaSession) {
   EXPECT_TRUE(acl->check("app", 7, security::Permission::kRead));
 }
 
+// An assignment is causally after the value it overwrites, so it must also
+// win arbitration (TCC+: arbitration extends causality), even when the
+// overwritten value was written by a node whose clock runs ahead.
+class SkewedAssignTest : public ::testing::Test {
+ protected:
+  SkewedAssignTest()
+      : cluster(ClusterConfig{}),
+        ahead(cluster.add_edge(ClientMode::kClientCache, 0, 1)),
+        behind(cluster.add_edge(ClientMode::kClientCache, 0, 2)),
+        ahead_session(ahead),
+        behind_session(behind) {
+    cluster.network().set_clock_skew(ahead.id(), 10 * kSecond);
+  }
+
+  /// The register `key` as `session` reads it, or the field `field` of the
+  /// map `key` when `field` is set.
+  std::string read(Session& session, const ObjectKey& key,
+                   const std::string& field = "") {
+    auto txn = session.begin();
+    std::string value = "<unread>";
+    if (field.empty()) {
+      session.read_register(txn, key, [&](Result<std::string> r, ReadSource) {
+        ASSERT_TRUE(r.ok());
+        value = r.value();
+      });
+    } else {
+      session.read_object(
+          txn, key, CrdtType::kGMap,
+          [&](Result<std::shared_ptr<Crdt>> r, ReadSource) {
+            ASSERT_TRUE(r.ok());
+            const auto* map = dynamic_cast<const GMap*>(r.value().get());
+            ASSERT_NE(map, nullptr);
+            const auto* reg = map->field_as<LwwRegister>(field);
+            value = reg != nullptr ? reg->value() : "<absent>";
+          });
+    }
+    cluster.run_for(1 * kSecond);
+    return value;
+  }
+
+  Cluster cluster;
+  EdgeNode& ahead;
+  EdgeNode& behind;
+  Session ahead_session;
+  Session behind_session;
+};
+
+TEST_F(SkewedAssignTest, RegisterAssignWinsOverTheValueItOverwrites) {
+  const ObjectKey key{"app", "reg"};
+  ASSERT_EQ(read(ahead_session, key), "");  // caches it at the writer
+  auto t1 = ahead_session.begin();
+  ahead_session.assign(t1, key, "from-a");
+  ASSERT_TRUE(ahead_session.commit(std::move(t1)).ok());
+  cluster.run_for(2 * kSecond);
+  ASSERT_EQ(read(behind_session, key), "from-a");
+
+  auto t2 = behind_session.begin();
+  behind_session.assign(t2, key, "from-b");
+  ASSERT_TRUE(behind_session.commit(std::move(t2)).ok());
+  cluster.run_for(2 * kSecond);
+  EXPECT_EQ(read(behind_session, key), "from-b");  // read-my-writes
+  EXPECT_EQ(read(ahead_session, key), "from-b");
+}
+
+TEST_F(SkewedAssignTest, MapFieldAssignWinsOverTheValueItOverwrites) {
+  const ObjectKey key{"app", "profile"};
+  ASSERT_EQ(read(ahead_session, key, "name"), "<absent>");
+  auto t1 = ahead_session.begin();
+  ahead_session.map_assign(t1, key, "name", "from-a");
+  ASSERT_TRUE(ahead_session.commit(std::move(t1)).ok());
+  cluster.run_for(2 * kSecond);
+  ASSERT_EQ(read(behind_session, key, "name"), "from-a");
+
+  auto t2 = behind_session.begin();
+  behind_session.map_assign(t2, key, "name", "from-b");
+  ASSERT_TRUE(behind_session.commit(std::move(t2)).ok());
+  cluster.run_for(2 * kSecond);
+  EXPECT_EQ(read(behind_session, key, "name"), "from-b");
+  EXPECT_EQ(read(ahead_session, key, "name"), "from-b");
+}
+
 }  // namespace
 }  // namespace colony

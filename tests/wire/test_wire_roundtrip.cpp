@@ -80,28 +80,28 @@ T fuzz(Rng& rng) {
       v.set(dc, rng.below(1'000'000));
     }
     return v;
-  } else if constexpr (codec::detail::is_vector_v<T>) {
+  } else if constexpr (codec::detail::is_a<T, std::vector>) {
     T out;
     const std::size_t n = rng.below(4);
     for (std::size_t i = 0; i < n; ++i) {
       out.push_back(fuzz<typename T::value_type>(rng));
     }
     return out;
-  } else if constexpr (codec::detail::is_set_v<T>) {
+  } else if constexpr (codec::detail::is_a<T, std::set>) {
     T out;
     const std::size_t n = rng.below(4);
     for (std::size_t i = 0; i < n; ++i) {
       out.insert(fuzz<typename T::value_type>(rng));
     }
     return out;
-  } else if constexpr (codec::detail::is_pair_v<T>) {
+  } else if constexpr (codec::detail::is_a<T, std::pair>) {
     auto first = fuzz<typename T::first_type>(rng);
     auto second = fuzz<typename T::second_type>(rng);
     return T{std::move(first), std::move(second)};
-  } else if constexpr (codec::detail::is_optional_v<T>) {
+  } else if constexpr (codec::detail::is_a<T, std::optional>) {
     if (rng.chance(0.3)) return std::nullopt;
     return fuzz<typename T::value_type>(rng);
-  } else if constexpr (codec::detail::is_variant_v<T>) {
+  } else if constexpr (codec::detail::is_a<T, std::variant>) {
     return fuzz_detail::fuzz_variant<T>(
         rng, rng.below(std::variant_size_v<T>),
         std::make_index_sequence<std::variant_size_v<T>>{});
