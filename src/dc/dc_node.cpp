@@ -1,6 +1,7 @@
 #include "dc/dc_node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "security/sealed.hpp"
 #include "util/assert.hpp"
@@ -200,12 +201,86 @@ void DcNode::push_sessions(bool announce) {
   // No pushes during WAL replay: the sequence stream must not advance past
   // what the live run handed to the network (sessions resync on restart).
   if (recovering()) return;
+  const std::size_t from = frontier_;
+  hand_out_stable();
+  const std::uint64_t epoch = net_.topology_epoch();
+  const bool check_links = sessions_changed_ || epoch != checked_epoch_;
+  // Every connected session's cursor is at a log entry that is not
+  // K-stable, no connection changed, and no cut is due: nothing to send.
+  if (frontier_ == from && !announce && !check_links && !off_frontier_) {
+    return;
+  }
+  // The cut of a session at the frontier, computed once for all of them.
+  std::optional<VersionVector> frontier_cut;
+  bool off_frontier = false;
   for (auto& [node, session] : sessions_) {
-    push_session(node, session, announce);
+    std::optional<proto::PushTxn> last;
+    if (session_live(node, session, check_links)) {
+      if (session.cursor == from) {
+        for (const std::size_t i : session.round_pushes) {
+          queue_push(node, session, stable_[i].index, *stable_[i].txn, last);
+        }
+        session.cursor = frontier_;
+      } else {
+        walk_session(node, session, last);
+      }
+      off_frontier |= session.cursor != frontier_;
+      // The cut goes out on the round's last push, or alone on the gossip
+      // tick.
+      if (last || announce) {
+        if (session.cursor == frontier_ && !frontier_cut) {
+          frontier_cut = session_cut(frontier_);
+        }
+        VersionVector cut = session.cursor == frontier_
+                                ? *frontier_cut
+                                : session_cut(session.cursor);
+        const bool moved = !(cut == session.last_cut_sent);
+        if (moved) session.last_cut_sent = cut;
+        if (last) {
+          if (moved) last->cut = std::move(cut);
+          tell(node, proto::kPushTxn, std::move(*last));
+        } else if (moved) {
+          tell(node, proto::kStateUpdate,
+               proto::StateUpdate{std::move(cut), session.seq});
+        }
+      }
+    }
+    session.round_pushes.clear();
+  }
+  checked_epoch_ = epoch;
+  sessions_changed_ = false;
+  off_frontier_ = off_frontier;
+}
+
+void DcNode::hand_out_stable() {
+  const auto& log = engine_.log();
+  stable_.clear();
+  for (; frontier_ < log.size(); ++frontier_) {
+    const Dot& dot = log[frontier_];
+    if (!txns_.visible_at(dot, k_cut_)) break;  // not K-stable yet
+    if (engine_.is_masked(dot)) continue;       // pushed to nobody
+    const Transaction* txn = txns_.find(dot);
+    COLONY_ASSERT(txn != nullptr, "log references unknown txn");
+    const std::size_t entry = stable_.size();
+    stable_.push_back(StableEntry{frontier_, txn});
+    const auto hand = [entry](EdgeSession& session) {
+      auto& pushes = session.round_pushes;
+      if (pushes.empty() || pushes.back() != entry) pushes.push_back(entry);
+    };
+    for (const OpRecord& op : txn->ops) {
+      if (op.key == security::acl_object_key()) {
+        for (auto& [_, session] : sessions_) hand(session);
+      } else if (const auto it = watchers_.find(op.key);
+                 it != watchers_.end()) {
+        for (EdgeSession* session : it->second) hand(*session);
+      }
+    }
   }
 }
 
-void DcNode::push_session(NodeId node, EdgeSession& session, bool announce) {
+bool DcNode::session_live(NodeId node, EdgeSession& session,
+                          bool check_links) {
+  if (!check_links) return session.connected;
   // A down uplink — or a crashed endpoint — would silently swallow pushes
   // while the cursor advances, leaving the session permanently stale; pause
   // instead (TCP-like: the sender knows the connection is gone) and resume
@@ -213,7 +288,7 @@ void DcNode::push_session(NodeId node, EdgeSession& session, bool announce) {
   if (!net_.link_up(id(), node) || !net_.node_up(node) ||
       !net_.node_up(id())) {
     session.connected = false;
-    return;
+    return false;
   }
   if (!session.connected) {
     // The connection is back. Anything in flight when it broke was lost
@@ -222,48 +297,40 @@ void DcNode::push_session(NodeId node, EdgeSession& session, bool announce) {
     session.connected = true;
     resync_session(session);
   }
+  return true;
+}
+
+void DcNode::walk_session(NodeId node, EdgeSession& session,
+                          std::optional<proto::PushTxn>& last) {
+  // Push the K-stable prefix of the visibility log from the cursor that
+  // intersects the session's interest set, in log (causal) order.
   const auto& log = engine_.log();
-  // Push the K-stable prefix of the visibility log that intersects the
-  // session's interest set, in log (causal) order. The round's last push is
-  // held back so the round's cut can ride on it.
-  std::optional<proto::PushTxn> last;
-  while (session.cursor < log.size()) {
+  for (; session.cursor < log.size(); ++session.cursor) {
     const Dot& dot = log[session.cursor];
     if (!txns_.visible_at(dot, k_cut_)) break;  // not K-stable yet
     const Transaction* txn = txns_.find(dot);
     COLONY_ASSERT(txn != nullptr, "log references unknown txn");
-    if (!engine_.is_masked(dot)) {
-      const bool interesting =
-          std::any_of(txn->ops.begin(), txn->ops.end(),
-                      [&](const OpRecord& op) {
-                        return session.interest.contains(op.key) ||
-                               op.key == security::acl_object_key();
-                      });
-      if (interesting) {
-        if (last) tell(node, proto::kPushTxn, std::move(*last));
-        last = proto::PushTxn{*txn, ++session.seq, std::nullopt};
-        session.outstanding.emplace_back(session.seq, session.cursor + 1);
-        // Pushes consume DC CPU; they delay later request processing.
-        busy_until_ = std::max(busy_until_, net_.now()) + kPushServiceTime;
-      }
-    }
-    ++session.cursor;
-  }
-  // The cut goes out on the round's last push, or alone on the gossip tick.
-  if (!last && !announce) return;
-  VersionVector cut = session_cut(session);
-  const bool moved = !(cut == session.last_cut_sent);
-  if (moved) session.last_cut_sent = cut;
-  if (last) {
-    if (moved) last->cut = std::move(cut);
-    tell(node, proto::kPushTxn, std::move(*last));
-  } else if (moved) {
-    tell(node, proto::kStateUpdate,
-         proto::StateUpdate{std::move(cut), session.seq});
+    if (engine_.is_masked(dot)) continue;
+    const bool interesting =
+        std::any_of(txn->ops.begin(), txn->ops.end(), [&](const OpRecord& op) {
+          return session.interest.contains(op.key) ||
+                 op.key == security::acl_object_key();
+        });
+    if (interesting) queue_push(node, session, session.cursor, *txn, last);
   }
 }
 
-VersionVector DcNode::session_cut(const EdgeSession& session) const {
+void DcNode::queue_push(NodeId node, EdgeSession& session, std::size_t index,
+                        const Transaction& txn,
+                        std::optional<proto::PushTxn>& last) {
+  if (last) tell(node, proto::kPushTxn, std::move(*last));
+  last = proto::PushTxn{txn, ++session.seq, std::nullopt};
+  session.outstanding.emplace_back(session.seq, index + 1);
+  // Pushes consume DC CPU; they delay later request processing.
+  busy_until_ = std::max(busy_until_, net_.now()) + kPushServiceTime;
+}
+
+VersionVector DcNode::session_cut(std::size_t cursor) const {
   // A cut announced over a session asserts "everything interesting below
   // this has been delivered to you (or sits in the snapshots you were
   // given)". k_cut_ alone does not satisfy that premise: the push loop
@@ -275,7 +342,7 @@ VersionVector DcNode::session_cut(const EdgeSession& session) const {
   // (after a migration) could show it first.
   VersionVector cut = k_cut_;
   const auto& log = engine_.log();
-  for (std::size_t i = session.cursor; i < log.size(); ++i) {
+  for (std::size_t i = cursor; i < log.size(); ++i) {
     const Transaction* txn = txns_.find(log[i]);
     if (txn == nullptr) continue;
     for (DcId dc = 0; dc < cut.size(); ++dc) {
@@ -285,6 +352,28 @@ VersionVector DcNode::session_cut(const EdgeSession& session) const {
     }
   }
   return cut;
+}
+
+void DcNode::watch(EdgeSession& session, const ObjectKey& key) {
+  if (session.interest.insert(key).second) {
+    watchers_[key].push_back(&session);
+  }
+}
+
+void DcNode::unwatch(EdgeSession& session, const ObjectKey& key) {
+  const auto it = watchers_.find(key);
+  if (it == watchers_.end() || std::erase(it->second, &session) == 0) return;
+  if (it->second.empty()) watchers_.erase(it);
+  session.interest.erase(key);
+}
+
+void DcNode::index_watchers() {
+  watchers_.clear();
+  for (auto& [_, session] : sessions_) {
+    for (const ObjectKey& key : session.interest) {
+      watchers_[key].push_back(&session);
+    }
+  }
 }
 
 void DcNode::resync_session(EdgeSession& session) {
@@ -304,13 +393,18 @@ void DcNode::resync_session(EdgeSession& session) {
 void DcNode::open_cursor(EdgeSession& session,
                          const VersionVector& cut) const {
   if (session.cursor != 0) return;  // already open
+  const std::size_t boundary = stable_prefix(cut);
+  session.cursor = boundary;
+  session.acked = boundary;
+}
+
+std::size_t DcNode::stable_prefix(const VersionVector& cut) const {
   const auto& log = engine_.log();
   std::size_t boundary = 0;
   while (boundary < log.size() && txns_.visible_at(log[boundary], cut)) {
     ++boundary;
   }
-  session.cursor = boundary;
-  session.acked = boundary;
+  return boundary;
 }
 
 // ---------------------------------------------------------------------------
@@ -492,9 +586,9 @@ void DcNode::handle_subscribe(NodeId from, const proto::SubscribeReq& req,
   // snapshots below carry the history.
   open_cursor(session, k_cut_);
   proto::SubscribeResp resp;
-  resp.cut = session_cut(session);
+  resp.cut = session_cut(session.cursor);
   for (const ObjectKey& key : req.keys) {
-    session.interest.insert(key);
+    watch(session, key);
     if (auto snap = export_k_stable(key)) {
       resp.snapshots.push_back(std::move(*snap));
     }
@@ -509,7 +603,7 @@ void DcNode::handle_fetch(NodeId from, const proto::FetchReq& req,
   if (req.subscribe) {
     EdgeSession& session = sessions_[from];
     if (req.user != 0) session.user = req.user;
-    session.interest.insert(req.key);
+    watch(session, req.key);
     open_cursor(session, k_cut_);
     log_session(from, session);
   }
@@ -518,13 +612,13 @@ void DcNode::handle_fetch(NodeId from, const proto::FetchReq& req,
     reply(Error{Error::Code::kNotFound, "object unknown: " + req.key.full()});
     return;
   }
-  // Cap by the session channel like push_session does; a fetch without a
+  // Cap by the session channel like a push round does; a fetch without a
   // session (req.subscribe == false) gets the uncapped cut only merged
   // into the snapshot import of this single key, which the snapshot
   // itself backs.
   const auto sit = sessions_.find(from);
   const VersionVector cut =
-      sit == sessions_.end() ? k_cut_ : session_cut(sit->second);
+      sit == sessions_.end() ? k_cut_ : session_cut(sit->second.cursor);
   reply(codec::to_bytes(proto::FetchResp{std::move(*snap), cut}));
 }
 
@@ -541,7 +635,7 @@ void DcNode::handle_migrate(NodeId from, const proto::MigrateReq& req,
   }
   EdgeSession& session = sessions_[from];
   session.user = req.user;
-  session.interest.insert(req.interest.begin(), req.interest.end());
+  for (const ObjectKey& key : req.interest) watch(session, key);
   // Unlike a fresh subscription (which starts at the K-stable boundary
   // because the snapshots in the reply carry the history), a migrated
   // session must backfill from the first log entry the edge does not
@@ -600,7 +694,7 @@ void DcNode::on_message(NodeId from, std::uint32_t kind,
       const auto msg = codec::from_bytes<proto::UnsubscribeMsg>(body);
       const auto it = sessions_.find(from);
       if (it != sessions_.end()) {
-        for (const ObjectKey& key : msg.keys) it->second.interest.erase(key);
+        for (const ObjectKey& key : msg.keys) unwatch(it->second, key);
         log_session(from, it->second);
       }
       break;
@@ -689,6 +783,7 @@ void DcNode::log_session(NodeId node, const EdgeSession& session) {
   // every session, which rewinds to the acknowledged prefix and relies on
   // the subscriber's dot filter to drop re-pushed duplicates.
   log_record(kWalDcSession, node, static_cast<const SessionRecord&>(session));
+  sessions_changed_ = true;
 }
 
 // --- the durable effect of each record kind --------------------------------
@@ -714,7 +809,15 @@ void DcNode::apply_gossip(const proto::DcGossip& msg) {
 }
 
 void DcNode::apply_session(NodeId node, const SessionRecord& record) {
-  static_cast<SessionRecord&>(sessions_[node]) = record;
+  EdgeSession& session = sessions_[node];
+  for (const ObjectKey& key : std::exchange(session.interest, {})) {
+    unwatch(session, key);
+  }
+  static_cast<SessionRecord&>(session) = record;
+  for (const ObjectKey& key : session.interest) {
+    watchers_[key].push_back(&session);
+  }
+  sessions_changed_ = true;
 }
 
 void DcNode::apply_advance_base() {
@@ -752,6 +855,8 @@ void DcNode::decode_checkpoint(ByteView snapshot) {
   codec::from_bytes(snapshot, checkpoint());
   COLONY_ASSERT(dc_states_.size() == config_.num_dcs,
                 "checkpoint from a different topology");
+  index_watchers();
+  sessions_changed_ = true;
   recompute_k_cut();
 }
 
@@ -780,6 +885,11 @@ void DcNode::wipe() {
   busy_until_ = 0;
   waiting_execs_.clear();
   sessions_.clear();
+  watchers_.clear();
+  frontier_ = 0;
+  stable_.clear();
+  sessions_changed_ = true;
+  off_frontier_ = false;
   gossip_count_ = 0;
   my_commits_.clear();
   local_dot_counter_ = 0;
@@ -790,10 +900,14 @@ void DcNode::wipe() {
   engine_.reset();
 }
 
-void DcNode::after_replay() { recompute_k_cut(); }
+void DcNode::after_replay() {
+  recompute_k_cut();
+  frontier_ = stable_prefix(k_cut_);
+}
 
 void DcNode::on_start() {
   for (auto& [node, session] : sessions_) session.connected = false;
+  sessions_changed_ = true;
   schedule_gossip();
 }
 

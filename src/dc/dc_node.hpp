@@ -17,6 +17,7 @@
 #include <set>
 #include <tuple>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "core/txn.hpp"
@@ -113,6 +114,14 @@ class DcNode final : public storage::DurableNode {
     std::uint64_t acked_seq_last_tick = 0;  // stall-detection marker
     std::size_t stall_ticks = 0;
     bool connected = true;
+    /// This round's newly K-stable entries the session watches, as indices
+    /// into DcNode::stable_ in log order (filled and emptied by one round).
+    std::vector<std::size_t> round_pushes;
+  };
+  /// A newly K-stable, unmasked log entry of the current push round.
+  struct StableEntry {
+    std::size_t index;  // position in the visibility log
+    const Transaction* txn;
   };
 
   // Handlers.
@@ -137,11 +146,38 @@ class DcNode final : public storage::DurableNode {
   /// Push each session's new K-stable entries. A moved cut rides the
   /// round's last push; without one it goes out alone only if `announce`
   /// (the gossip tick).
+  ///
+  /// One pass per round: the K-stable frontier advances once, its new
+  /// entries go to the sessions watching their keys, and sessions whose
+  /// cursor sits at the frontier take their pushes from that hand-out.
+  /// Sessions behind or past the frontier walk the log themselves. A round
+  /// with nothing new, no announce, no topology change and no session
+  /// change since the last visit visits nobody.
   void push_sessions(bool announce = false);
-  void push_session(NodeId node, EdgeSession& session, bool announce);
-  /// The cut this session may be told it covers: k_cut_ capped so that no
-  /// log entry at or beyond the session cursor is inside it.
-  [[nodiscard]] VersionVector session_cut(const EdgeSession& session) const;
+  /// Advance frontier_ and hand each newly stable, unmasked entry to the
+  /// round_pushes of the sessions watching one of its keys (every session
+  /// for an ACL op).
+  void hand_out_stable();
+  /// Whether the session may be pushed to now. After a topology change (or
+  /// a session change) the link and both endpoints are checked, and a
+  /// connection that came back resyncs; otherwise `connected` is trusted.
+  bool session_live(NodeId node, EdgeSession& session, bool check_links);
+  /// Push the session's entries from its own cursor: the per-session walk
+  /// of sessions off the frontier.
+  void walk_session(NodeId node, EdgeSession& session,
+                    std::optional<proto::PushTxn>& last);
+  /// Push `txn` (log position `index`): send the push held in `last` and
+  /// hold this one back instead, so the round's cut can ride on the newest.
+  void queue_push(NodeId node, EdgeSession& session, std::size_t index,
+                  const Transaction& txn, std::optional<proto::PushTxn>& last);
+  /// The cut a session with this cursor may be told it covers: k_cut_
+  /// capped so that no log entry at or beyond the cursor is inside it.
+  [[nodiscard]] VersionVector session_cut(std::size_t cursor) const;
+  /// Interest mutations go through these, which keep watchers_ in step.
+  void watch(EdgeSession& session, const ObjectKey& key);
+  void unwatch(EdgeSession& session, const ObjectKey& key);
+  /// Rebuild watchers_ from every session's interest.
+  void index_watchers();
   /// Rewind a session to its last acknowledged log position and force a
   /// fresh cut announcement (on the next push, or alone on the next tick):
   /// called when a broken connection (or a detected ack stall) may have
@@ -151,6 +187,8 @@ class DcNode final : public storage::DurableNode {
   /// Open a new session's push cursor (and its acknowledged position) at
   /// the first log entry not visible at `cut`; a no-op once it is open.
   void open_cursor(EdgeSession& session, const VersionVector& cut) const;
+  /// The first log index not visible at `cut`.
+  [[nodiscard]] std::size_t stable_prefix(const VersionVector& cut) const;
   void gossip_tick();
   [[nodiscard]] JournalStore::DotPredicate k_stable_predicate() const;
   [[nodiscard]] std::optional<ObjectSnapshot> export_k_stable(
@@ -236,6 +274,22 @@ class DcNode final : public storage::DurableNode {
   std::vector<VersionVector> dc_states_;
   VersionVector k_cut_;
   std::map<NodeId, EdgeSession> sessions_;
+  /// key -> the sessions whose interest holds it (derived from sessions_).
+  std::unordered_map<ObjectKey, std::vector<EdgeSession*>> watchers_;
+  // --- push-round state (derived; rebuilt after a wipe or a checkpoint) ---
+  /// The first log index not visible at k_cut_ (k_cut_ only grows, so
+  /// every entry below it is K-stable).
+  std::size_t frontier_ = 0;
+  /// This round's newly K-stable, unmasked entries.
+  std::vector<StableEntry> stable_;
+  /// Network topology epoch at the last round that checked every link.
+  std::uint64_t checked_epoch_ = 0;
+  /// A session was created, changed or restored since the last round, so
+  /// its connection state is unchecked.
+  bool sessions_changed_ = true;
+  /// After the last round, some connected session's cursor was off the
+  /// frontier (past it, after a migration), so it may have entries to walk.
+  bool off_frontier_ = false;
   std::size_t gossip_count_ = 0;
   SimTime busy_until_ = 0;  // single logical CPU; models saturation
 

@@ -15,7 +15,10 @@ const char* to_string(Permission p) {
   return "unknown";
 }
 
-ObjectKey acl_object_key() { return ObjectKey{"_sys", "acl"}; }
+const ObjectKey& acl_object_key() {
+  static const ObjectKey key{"_sys", "acl"};
+  return key;
+}
 
 namespace {
 

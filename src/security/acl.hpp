@@ -50,8 +50,9 @@ struct AclTuple {
   auto fields() { return std::tie(object, user, permission); }
 };
 
-/// The reserved key under which the policy object lives.
-[[nodiscard]] ObjectKey acl_object_key();
+/// The reserved key under which the policy object lives (one instance, so
+/// per-op comparisons against it allocate nothing).
+[[nodiscard]] const ObjectKey& acl_object_key();
 
 /// Register the ACL CRDT with the factory; call once at process start
 /// (idempotent).

@@ -34,16 +34,19 @@ void Network::register_actor(Actor* actor) {
 void Network::unregister_actor(NodeId id) { actors_.erase(id); }
 
 void Network::connect(NodeId a, NodeId b, LatencyModel model) {
+  ++epoch_;
   links_[{a, b}] = Link{model, true, 0};
   links_[{b, a}] = Link{model, true, 0};
 }
 
 void Network::set_link_up(NodeId a, NodeId b, bool up) {
+  ++epoch_;
   if (Link* l = find_link(a, b)) l->up = up;
   if (Link* l = find_link(b, a)) l->up = up;
 }
 
 void Network::set_node_up(NodeId node, bool up) {
+  ++epoch_;
   if (up) {
     down_nodes_.erase(node);
   } else {
@@ -67,6 +70,7 @@ SimTime Network::local_now(NodeId node) const {
 }
 
 void Network::heal() {
+  ++epoch_;
   for (auto& [_, link] : links_) link.up = true;
   down_nodes_.clear();
 }
@@ -106,7 +110,8 @@ void Network::send(NodeId from, NodeId to, std::uint32_t kind,
   // Meter every frame handed to a live link, attributed to the protocol
   // kind (RPC envelope flags stripped). Loss/corruption happen in flight,
   // after the sender already paid the bytes.
-  wire_stats_.record(from, to, kind & kRpcKindMask, frm.size());
+  if (link->wire == nullptr) link->wire = &wire_stats_.link(from, to);
+  wire_stats_.record(*link->wire, kind & kRpcKindMask, frm.size());
 
   if (corrupt_rate_ > 0 && rng_.chance(corrupt_rate_)) {
     ++corrupted_;
@@ -141,7 +146,7 @@ void Network::send(NodeId from, NodeId to, std::uint32_t kind,
   if (duplicate_rate_ > 0 && rng_.chance(duplicate_rate_)) {
     ++duplicated_;
     const SimTime extra = rng_.between(1, 2 * link->model.mean);
-    wire_stats_.record(from, to, kind & kRpcKindMask, frm.size());
+    wire_stats_.record(*link->wire, kind & kRpcKindMask, frm.size());
     deliver(from, to, frm, deliver_at + extra);
   }
   deliver(from, to, std::move(frm), deliver_at);

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -116,6 +115,11 @@ class Network {
   /// implicitly up once configured.
   void connect(NodeId a, NodeId b, LatencyModel model);
 
+  /// Bumped by every call that may change a link's or a node's liveness
+  /// (connect, set_link_up, set_node_up, heal). While it is unchanged, every
+  /// link_up / node_up answer is too, so a poller can skip re-asking.
+  [[nodiscard]] std::uint64_t topology_epoch() const { return epoch_; }
+
   /// Take one direction or both down/up. Messages on a down link vanish.
   void set_link_up(NodeId a, NodeId b, bool up);
 
@@ -195,6 +199,7 @@ class Network {
     LatencyModel model;
     bool up = true;
     SimTime last_delivery = 0;  // enforces per-link FIFO
+    WireStats::Counter* wire = nullptr;  // its wire_stats_ counter, once used
   };
 
   void register_actor(Actor* actor);
@@ -208,8 +213,9 @@ class Network {
   Scheduler& sched_;
   Rng rng_;
   std::unordered_map<NodeId, Actor*> actors_;
-  std::map<std::pair<NodeId, NodeId>, Link> links_;
+  std::unordered_map<std::pair<NodeId, NodeId>, Link, LinkHash> links_;
   std::set<NodeId> down_nodes_;
+  std::uint64_t epoch_ = 0;
   std::unordered_map<NodeId, SimTime> clock_skew_;
   double duplicate_rate_ = 0.0;
   double reorder_rate_ = 0.0;

@@ -83,7 +83,7 @@ double ThroughputCounter::steady_rate_per_second() const {
   return sum / static_cast<double>(hi - lo);
 }
 
-void WireStats::record(NodeId from, NodeId to, std::uint32_t kind,
+void WireStats::record(Counter& link, std::uint32_t kind,
                        std::size_t frame_bytes) {
   const auto n = static_cast<std::uint64_t>(frame_bytes);
   ++total_.frames;
@@ -91,9 +91,8 @@ void WireStats::record(NodeId from, NodeId to, std::uint32_t kind,
   auto& k = per_kind_[kind];
   ++k.frames;
   k.bytes += n;
-  auto& l = per_link_[{from, to}];
-  ++l.frames;
-  l.bytes += n;
+  ++link.frames;
+  link.bytes += n;
 }
 
 WireStats::Counter WireStats::for_kind(std::uint32_t kind) const {
@@ -109,7 +108,8 @@ WireStats::Counter WireStats::for_link(NodeId from, NodeId to) const {
 void WireStats::clear() {
   total_ = Counter{};
   per_kind_.clear();
-  per_link_.clear();
+  // Zeroed in place: senders hold references to these counters.
+  for (auto& [_, link] : per_link_) link = Counter{};
 }
 
 double Series::mean_in(SimTime from, SimTime to) const {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -75,8 +76,13 @@ class WireStats {
     std::uint64_t bytes = 0;
   };
 
-  void record(NodeId from, NodeId to, std::uint32_t kind,
-              std::size_t frame_bytes);
+  /// The counter of one directed link, created on first use. It stays at
+  /// the same address for the life of this object (clear() zeroes it, it
+  /// does not drop it), so a sender can keep it beside its link and meter
+  /// frames without looking the link up again.
+  Counter& link(NodeId from, NodeId to) { return per_link_[{from, to}]; }
+  /// Meter one frame on `link` (a counter from link()).
+  void record(Counter& link, std::uint32_t kind, std::size_t frame_bytes);
 
   [[nodiscard]] const Counter& total() const { return total_; }
   [[nodiscard]] Counter for_kind(std::uint32_t kind) const;
@@ -84,17 +90,13 @@ class WireStats {
   [[nodiscard]] const std::map<std::uint32_t, Counter>& per_kind() const {
     return per_kind_;
   }
-  [[nodiscard]] const std::map<std::pair<NodeId, NodeId>, Counter>& per_link()
-      const {
-    return per_link_;
-  }
 
   void clear();
 
  private:
   Counter total_;
   std::map<std::uint32_t, Counter> per_kind_;
-  std::map<std::pair<NodeId, NodeId>, Counter> per_link_;
+  std::unordered_map<std::pair<NodeId, NodeId>, Counter, LinkHash> per_link_;
 };
 
 class Series {

@@ -10,6 +10,7 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 
 namespace colony {
 
@@ -57,6 +58,15 @@ struct ObjectKey {
   [[nodiscard]] std::string full() const { return bucket + "/" + name; }
 
   auto fields() { return std::tie(bucket, name); }
+};
+
+/// Hash of a directed link (from, to): the network's link table and the
+/// per-link wire counters are keyed by it.
+struct LinkHash {
+  std::size_t operator()(const std::pair<NodeId, NodeId>& link) const noexcept {
+    return std::hash<NodeId>{}(link.first * 0x9e3779b97f4a7c15ULL ^
+                               link.second);
+  }
 };
 
 }  // namespace colony

@@ -21,7 +21,7 @@
 #include "colony/cluster.hpp"
 #include "colony/session.hpp"
 #include "crdt/counter.hpp"
-#include "sim/chaos.hpp"
+#include "support/chaos.hpp"
 #include "support/reference_drain.hpp"
 #include "util/rng.hpp"
 

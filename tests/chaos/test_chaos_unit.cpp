@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "chaos_harness.hpp"
-#include "sim/chaos.hpp"
+#include "support/chaos.hpp"
 
 namespace colony::sim {
 namespace {
